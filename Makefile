@@ -77,7 +77,9 @@ soak-smoke:
 ## boundary, resume from the checkpoints, and diff the resumed CSV
 ## byte-for-byte against the same golden the uninterrupted soak-smoke
 ## uses. Both parallel modes, under the race detector: a resumed soak
-## must be indistinguishable from one that never crashed.
+## must be indistinguishable from one that never crashed. Last, the
+## negative leg: resuming those seed-2024 checkpoints under -seed 2025
+## must fail with the config-mismatch error, not continue.
 soak-resume-smoke:
 	@tmp=$$(mktemp -d); rc=0; \
 	for par in true false; do \
@@ -87,7 +89,11 @@ soak-resume-smoke:
 		$(GO) run -race ./cmd/lightpath-sim soak -seed 2024 -trials 2 -parallel=$$par \
 			-checkpoint $$ck -resume -csv $$tmp >/dev/null && \
 		diff -u cmd/lightpath-sim/testdata/soak_golden.csv $$tmp/soak.csv || rc=1; \
-	done; rm -rf $$tmp; \
+	done; \
+	if $(GO) run -race ./cmd/lightpath-sim soak -seed 2025 -trials 2 \
+		-checkpoint $$tmp/ck-false -resume >/dev/null 2>$$tmp/err; then rc=1; fi; \
+	grep -q 'checkpoint config does not match' $$tmp/err || rc=1; \
+	rm -rf $$tmp; \
 	if [ $$rc -ne 0 ]; then echo "resumed soak CSV diverged from golden (seed 2024)" >&2; exit 1; fi
 
 ## rail-smoke: run the acceptance-scale rail campaign (10,240
@@ -112,10 +118,11 @@ rail-smoke:
 ## -parallel modes, diffed byte-for-byte against the committed golden.
 ## Finally crash injection: kill every trial at a mid-run event
 ## boundary, resume from the checkpoints, and demand the resumed CSV
-## be identical to the uninterrupted golden. (The full-scale race pass
-## over this code runs in `make race` via the ctrl package tests; the
-## campaign itself runs without -race to keep the gate under two
-## minutes.)
+## be identical to the uninterrupted golden, and that resuming those
+## checkpoints under -seed 2025 fails with the config-mismatch error.
+## (The full-scale race pass over this code runs in `make race` via
+## the ctrl package tests; the campaign itself runs without -race to
+## keep the gate under two minutes.)
 controller-smoke:
 	@tmp=$$(mktemp -d); rc=0; \
 	$(GO) run -race ./cmd/lightpath-controller -selfcheck >/dev/null || rc=1; \
@@ -127,6 +134,8 @@ controller-smoke:
 	$(GO) run ./cmd/lightpath-sim controller -seed 2024 -trials 2 -checkpoint $$ck -kill-at 100000 >/dev/null && \
 	$(GO) run ./cmd/lightpath-sim controller -seed 2024 -trials 2 -checkpoint $$ck -resume -csv $$tmp >/dev/null && \
 	diff -u cmd/lightpath-sim/testdata/controller_golden.csv $$tmp/controller.csv || rc=1; \
+	if $(GO) run ./cmd/lightpath-sim controller -seed 2025 -trials 2 -checkpoint $$ck -resume >/dev/null 2>$$tmp/err; then rc=1; fi; \
+	grep -q 'checkpoint config does not match' $$tmp/err || rc=1; \
 	rm -rf $$tmp; \
 	if [ $$rc -ne 0 ]; then echo "controller smoke diverged (seed 2024)" >&2; exit 1; fi
 

@@ -51,12 +51,11 @@ import (
 
 	"lightpath/internal/alloc"
 	"lightpath/internal/core"
-	"lightpath/internal/ctrl/loadgen"
 	"lightpath/internal/engine"
 	"lightpath/internal/experiments"
-	"lightpath/internal/fleet"
 	"lightpath/internal/netsim"
 	"lightpath/internal/route"
+	"lightpath/internal/snapshot"
 	"lightpath/internal/topo"
 	"lightpath/internal/torus"
 	"lightpath/internal/unit"
@@ -126,6 +125,26 @@ func run(args []string, out printer) error {
 		}()
 	}
 
+	// checkpointed runs a crash-tolerant campaign (soak, controller)
+	// under the shared -checkpoint/-resume/-kill-at flags: it creates
+	// the checkpoint directory, and in kill mode reports where the
+	// halted trials left their checkpoints instead of a result.
+	checkpointed := func(name string, campaign func() (fmt.Stringer, error)) error {
+		if *checkpoint != "" {
+			if err := os.MkdirAll(*checkpoint, 0o755); err != nil {
+				return fmt.Errorf("%s: checkpoint dir: %w", name, err)
+			}
+		}
+		r, err := campaign()
+		if errors.Is(err, snapshot.ErrStopped) {
+			_, werr := fmt.Fprintf(out, "%s: trials stopped at event %d, checkpoints in %s\n", name, *killAt, *checkpoint)
+			return werr
+		}
+		if err := emit(out, r, err); err != nil {
+			return err
+		}
+		return emitCSV(*csvDir, name, r)
+	}
 	commands := map[string]func() error{
 		"info": func() error { return emit(out, experiments.Info(), nil) },
 		"fig3a": func() error {
@@ -194,51 +213,25 @@ func run(args []string, out printer) error {
 			return emitCSV(*csvDir, "chaos", r)
 		},
 		"soak": func() error {
-			if *checkpoint != "" {
-				if err := os.MkdirAll(*checkpoint, 0o755); err != nil {
-					return fmt.Errorf("soak: checkpoint dir: %w", err)
-				}
-			}
-			r, err := experiments.SoakWithOptions(*seed, *trials, experiments.SoakOptions{
-				CheckpointDir:   *checkpoint,
-				EveryEvents:     *ckptInterval,
-				KillAfterEvents: *killAt,
-				Resume:          *resume,
+			return checkpointed("soak", func() (fmt.Stringer, error) {
+				return experiments.SoakWithOptions(*seed, *trials, experiments.SoakOptions{
+					CheckpointDir:   *checkpoint,
+					EveryEvents:     *ckptInterval,
+					KillAfterEvents: *killAt,
+					Resume:          *resume,
+				})
 			})
-			if errors.Is(err, fleet.ErrStopped) {
-				// Crash-injection mode: trials checkpointed and halted
-				// as requested; a later -resume run completes them.
-				_, werr := fmt.Fprintf(out, "soak: trials stopped at event %d, checkpoints in %s\n", *killAt, *checkpoint)
-				return werr
-			}
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "soak", r)
 		},
 		"controller": func() error {
-			if *checkpoint != "" {
-				if err := os.MkdirAll(*checkpoint, 0o755); err != nil {
-					return fmt.Errorf("controller: checkpoint dir: %w", err)
-				}
-			}
-			r, err := experiments.ControllerWithOptions(*seed, experiments.ControllerOptions{
-				Trials:          *trials,
-				CheckpointDir:   *checkpoint,
-				EveryEvents:     *ckptInterval,
-				KillAfterEvents: *killAt,
-				Resume:          *resume,
+			return checkpointed("controller", func() (fmt.Stringer, error) {
+				return experiments.ControllerWithOptions(*seed, experiments.ControllerOptions{
+					Trials:          *trials,
+					CheckpointDir:   *checkpoint,
+					EveryEvents:     *ckptInterval,
+					KillAfterEvents: *killAt,
+					Resume:          *resume,
+				})
 			})
-			if errors.Is(err, loadgen.ErrStopped) {
-				// Crash-injection mode: trials checkpointed and halted
-				// as requested; a later -resume run completes them.
-				_, werr := fmt.Fprintf(out, "controller: trials stopped at event %d, checkpoints in %s\n", *killAt, *checkpoint)
-				return werr
-			}
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "controller", r)
 		},
 		"sweep": func() error {
 			r, err := experiments.Sweep(experiments.DefaultSweepBuffers(), *seed)

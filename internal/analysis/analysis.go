@@ -26,7 +26,8 @@
 //     slices or maps per iteration.
 //   - parcapture: closures passed as trial bodies to engine.Map and
 //     engine.Stream may not write state captured from the enclosing
-//     scope (the data-race class fixed by hand in PR 3).
+//     scope, directly or through a method that writes its receiver
+//     (the data-race classes of PR 3 and of Fig5/Sweep).
 //   - arenaescape: pooled or //lightpath:arena-marked scratch buffers
 //     may not escape the function that borrowed them (the aliasing
 //     hazard class from PR 5's arena work).

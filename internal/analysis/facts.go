@@ -72,6 +72,9 @@ type Facts struct {
 	callerOrder []*types.Func
 	// paramUnits is the lazily-built unittaint fact; see ParamUnits.
 	paramUnits map[*types.Func][]map[*types.Named]bool
+	// recvWriters is the lazily-built parcapture fact; see
+	// WritesReceiver.
+	recvWriters map[*types.Func]bool
 }
 
 // BuildFacts constructs the shared fact base for one analyzer run over
@@ -211,6 +214,105 @@ func (f *Facts) buildParamUnits() {
 			sets[pi][u] = true
 		}
 	}
+}
+
+// WritesReceiver reports whether the declared method fn has a pointer
+// receiver and writes through it: directly (an assignment, ++/--,
+// delete or clear whose target is rooted at the receiver), or by
+// calling such a method on a receiver-rooted operand — the way
+// (*core.Fabric).PlanAllReduce writes its executor scratch through
+// f.exec.Electrical. Only loaded bodies count, so a method outside the
+// analysis roots is assumed not to write. The fact is built once, on
+// first use, to a fixed point over the call edges.
+func (f *Facts) WritesReceiver(fn *types.Func) bool {
+	if f.recvWriters == nil {
+		f.buildRecvWriters()
+	}
+	return f.recvWriters[fn]
+}
+
+// buildRecvWriters seeds the methods that write through their
+// receiver directly, then propagates along receiver-rooted calls
+// until nothing changes. The result is a set, so map order is moot.
+func (f *Facts) buildRecvWriters() {
+	f.recvWriters = map[*types.Func]bool{}
+	calls := map[*types.Func][]*types.Func{}
+	for fn, info := range f.Decls {
+		if recv := pointerReceiver(info); recv != nil {
+			var cs []*types.Func
+			f.recvWriters[fn] = writesThrough(info, recv, &cs)
+			calls[fn] = cs
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for fn, cs := range calls {
+			for _, c := range cs {
+				if !f.recvWriters[fn] && f.recvWriters[c] {
+					f.recvWriters[fn] = true
+					changed = true
+				}
+			}
+		}
+	}
+}
+
+// pointerReceiver returns the named pointer receiver of a declared
+// method, or nil.
+func pointerReceiver(info *FuncInfo) types.Object {
+	fd := info.Decl
+	if fd.Recv == nil || fd.Body == nil || len(fd.Recv.List) != 1 || len(fd.Recv.List[0].Names) != 1 {
+		return nil
+	}
+	obj := info.Pkg.Info.Defs[fd.Recv.List[0].Names[0]]
+	if obj == nil {
+		return nil
+	}
+	if _, ok := obj.Type().(*types.Pointer); !ok {
+		return nil
+	}
+	return obj
+}
+
+// writesThrough reports whether a method body writes through recv
+// directly, collecting into callees the functions it calls on
+// receiver-rooted operands (only pointer-receiver methods among them
+// can carry the fact).
+func writesThrough(info *FuncInfo, recv types.Object, callees *[]*types.Func) bool {
+	pkgInfo := info.Pkg.Info
+	rooted := func(e ast.Expr) bool {
+		id := rootIdent(e)
+		return id != nil && pkgInfo.Uses[id] == recv
+	}
+	// through excludes rebinding the receiver variable itself.
+	through := func(e ast.Expr) bool {
+		_, bare := ast.Unparen(e).(*ast.Ident)
+		return !bare && rooted(e)
+	}
+	writes := false
+	ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				writes = writes || through(lhs)
+			}
+		case *ast.IncDecStmt:
+			writes = writes || through(n.X)
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) > 0 {
+				if b, ok := pkgInfo.Uses[id].(*types.Builtin); ok && (b.Name() == "delete" || b.Name() == "clear") {
+					writes = writes || rooted(n.Args[0])
+				}
+			}
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && rooted(sel.X) {
+				if callee := calleeOf(pkgInfo, n); callee != nil {
+					*callees = append(*callees, callee)
+				}
+			}
+		}
+		return true
+	})
+	return writes
 }
 
 // isFloat64Param reports whether a parameter type is a bare float64

@@ -23,7 +23,13 @@ const enginePath = "lightpath/internal/engine"
 //     p.f=v, and *p=v through a captured pointer);
 //   - append, delete, or clear applied to a captured container when
 //     the result rebinds or mutates captured state;
-//   - sends on captured channels (arrival order is schedule-dependent).
+//   - sends on captured channels (arrival order is schedule-dependent);
+//   - calls of a pointer-receiver method on a captured operand when
+//     the method writes through its receiver, directly or via the
+//     methods it calls on its receiver (Facts.WritesReceiver). The
+//     Fig5/Sweep race was this shape: PlanAllReduce on one shared
+//     core.Fabric wrote the fabric's executor scratch from every
+//     trial at once.
 //
 // Reads of captured state stay legal — shared read-only inputs are the
 // whole point of clone-per-trial campaigns — as do writes to the
@@ -171,6 +177,13 @@ func checkTrialClosure(pass *Pass, entry string, lit *ast.FuncLit) {
 				if len(n.Args) > 0 {
 					if id := captured(n.Args[0]); id != nil {
 						pass.Reportf(n.Pos(), "trial closure passed to engine.%s calls %s on captured %q; trials run concurrently — keep per-trial state local and merge via the returned results", entry, name, id.Name)
+					}
+				}
+			}
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && pass.Facts != nil {
+				if fn := calleeFunc(pass, n); fn != nil && pass.Facts.WritesReceiver(fn) {
+					if id := captured(sel.X); id != nil {
+						pass.Reportf(n.Pos(), "trial closure passed to engine.%s calls %s on captured %q, which writes through its receiver; trials run concurrently — give each trial its own copy (e.g. a Clone)", entry, fn.FullName(), id.Name)
 					}
 				}
 			}

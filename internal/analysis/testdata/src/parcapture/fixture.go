@@ -2,7 +2,9 @@
 // handed to engine.Map/engine.Stream must not write captured state,
 // while local writes, reads of shared inputs, and sequential consume
 // callbacks must pass. Sum reconstructs the historical PR 3 bug — a
-// float accumulator mutated inside a Map trial — verbatim in shape.
+// float accumulator mutated inside a Map trial — verbatim in shape,
+// and Fig5 the Fig5/Sweep race: a receiver-writing method called on a
+// fabric every trial shares.
 package fixture
 
 import "lightpath/internal/engine"
@@ -102,4 +104,55 @@ func CleanTrial(xs []float64) (float64, error) {
 		sum += o
 	}
 	return sum, nil
+}
+
+// Executor reconstructs netsim.Executor: reusable scratch that every
+// execution writes.
+type Executor struct {
+	caps map[int]float64
+}
+
+// Electrical writes the executor's scratch map.
+func (e *Executor) Electrical(links int) float64 {
+	if e.caps == nil {
+		e.caps = make(map[int]float64)
+	}
+	clear(e.caps)
+	for l := 0; l < links; l++ {
+		e.caps[l] = 1
+	}
+	return float64(len(e.caps))
+}
+
+// Fabric reconstructs core.Fabric: it owns executor scratch, so even
+// "planning" writes through the fabric.
+type Fabric struct {
+	slices int
+	exec   Executor
+}
+
+// PlanAllReduce writes through its receiver only by way of the
+// executor method it calls on f.exec.
+func (f *Fabric) PlanAllReduce(si int) float64 { return f.exec.Electrical(si + f.slices) }
+
+// Slices only reads its receiver.
+func (f *Fabric) Slices() int { return f.slices }
+
+// Clone returns an independent fabric.
+func (f *Fabric) Clone() *Fabric { return &Fabric{slices: f.slices} }
+
+// Fig5 is the Fig5/Sweep race, reconstructed: every trial plans on one
+// shared fabric under a comment calling planning read-only.
+func Fig5(fabric *Fabric) ([]float64, error) {
+	return engine.Map(fabric.Slices(), func(si int) (float64, error) {
+		return fabric.PlanAllReduce(si), nil // want `calls .*Fabric\)\.PlanAllReduce on captured "fabric", which writes through its receiver`
+	})
+}
+
+// Fig5Fixed is the fix: each trial plans on its own clone, and a
+// read-only method on the shared fabric stays legal.
+func Fig5Fixed(proto *Fabric) ([]float64, error) {
+	return engine.Map(proto.Slices(), func(si int) (float64, error) {
+		return proto.Clone().PlanAllReduce(si + proto.Slices()), nil
+	})
 }

@@ -31,6 +31,8 @@ package ctrl
 import (
 	"errors"
 	"fmt"
+
+	"lightpath/internal/snapshot"
 )
 
 // ErrOverloaded reports that the controller's bounded request queue is
@@ -70,5 +72,6 @@ var ErrUnknownCircuit = errors.New("ctrl: unknown circuit id")
 
 // ErrConfigMismatch reports a checkpoint written under a different
 // configuration — restoring it would silently break determinism
-// instead of continuing the run.
-var ErrConfigMismatch = errors.New("ctrl: checkpoint config does not match")
+// instead of continuing the run. It is the checkpoint driver's
+// sentinel, so it also matches campaign and soak resumes.
+var ErrConfigMismatch = snapshot.ErrConfigMismatch

@@ -1,11 +1,10 @@
 package loadgen
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"sort"
 
-	"lightpath/internal/ctrl"
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
@@ -20,44 +19,22 @@ import (
 // boundary resumes to a Result byte-identical to the uninterrupted
 // run — the property the kill-sweep test asserts.
 
-// checkpointVersion is the current campaign checkpoint format.
-const checkpointVersion = 1
+// checkpointVersion is the current campaign checkpoint format. In
+// version 2 the digest is the checkpoint driver's, and the nested
+// controller state carries none.
+const checkpointVersion = 2
 
 // ErrStopped is returned by RunCheckpointed when the campaign halted
-// at the StopAfterEvents boundary instead of draining. The kill-sweep
-// harness uses it to stop a campaign at a chosen event and Resume it.
-var ErrStopped = errors.New("loadgen: campaign stopped at checkpoint boundary")
+// at the StopAfterEvents boundary instead of draining. It is the
+// checkpoint driver's snapshot.ErrStopped.
+var ErrStopped = snapshot.ErrStopped
 
-// CheckpointOptions configures periodic snapshotting of a campaign.
-type CheckpointOptions struct {
-	// Path is the checkpoint file; the writer keeps the previous good
-	// snapshot beside it (Path + ".prev") for torn-write fallback.
-	// Empty disables checkpointing.
-	Path string
-	// EveryEvents is the checkpoint cadence in event boundaries
-	// (default 4096).
-	EveryEvents uint64
-	// StopAfterEvents, when positive, halts the campaign with
-	// ErrStopped once that many events have been processed, writing a
-	// final checkpoint first if Path is set.
-	StopAfterEvents uint64
-}
-
-func (o CheckpointOptions) withDefaults() CheckpointOptions {
-	if o.EveryEvents == 0 {
-		o.EveryEvents = 4096
-	}
-	return o
-}
-
-// RunCheckpointed executes the campaign like Run, additionally writing
-// a checkpoint every opts.EveryEvents event boundaries.
-func RunCheckpointed(cfg Config, opts CheckpointOptions) (*Result, error) {
-	c, err := build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return c.run(opts.withDefaults())
+// RunCheckpointed executes the campaign like Run, additionally
+// checkpointing through opts: every opts.EveryEvents event boundaries
+// (default 4096), and at the StopAfterEvents boundary, where it
+// returns ErrStopped.
+func RunCheckpointed(cfg Config, opts snapshot.Options) (*Result, error) {
+	return runCampaign(cfg, opts, false)
 }
 
 // Resume continues a campaign from the checkpoint at opts.Path,
@@ -65,79 +42,36 @@ func RunCheckpointed(cfg Config, opts CheckpointOptions) (*Result, error) {
 // corrupted or torn primary snapshot falls back to the previous good
 // one; because the campaign is deterministic, resuming from an older
 // boundary replays to the identical Result.
-func Resume(cfg Config, opts CheckpointOptions) (*Result, error) {
-	opts = opts.withDefaults()
-	if opts.Path == "" {
-		return nil, errors.New("loadgen: resume needs a checkpoint path")
-	}
-	version, payload, _, err := snapshot.Load(opts.Path)
-	if err != nil {
-		return nil, err
-	}
-	if version != checkpointVersion {
-		return nil, fmt.Errorf("%w: checkpoint format v%d, this build reads v%d",
-			snapshot.ErrCorruptSnapshot, version, checkpointVersion)
-	}
+func Resume(cfg Config, opts snapshot.Options) (*Result, error) {
+	return runCampaign(cfg, opts, true)
+}
+
+func runCampaign(cfg Config, opts snapshot.Options, resume bool) (*Result, error) {
 	c, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.restoreState(snapshot.NewDecoder(payload)); err != nil {
-		return nil, err
+	// The digest covers the controller as it was actually built: its
+	// defaulted config, with the campaign seed in place of Ctrl.Seed.
+	key := c.cfg
+	key.Ctrl = c.srv.Config()
+	opts.EveryEvents = cmp.Or(opts.EveryEvents, 4096)
+	ck := snapshot.NewCheckpointer(checkpointVersion, key, opts)
+	if resume {
+		if err := ck.Restore(opts.Path, c); err != nil {
+			return nil, err
+		}
 	}
-	return c.run(opts)
+	return c.run(ck)
 }
 
-// maybeCheckpoint writes a snapshot when the current event boundary is
-// on the cadence, or when the campaign is about to stop there.
-func (c *campaign) maybeCheckpoint(opts CheckpointOptions) error {
-	if opts.Path == "" {
-		return nil
-	}
-	due := c.processed%opts.EveryEvents == 0
-	stopping := opts.StopAfterEvents > 0 && c.processed >= opts.StopAfterEvents
-	if !due && !stopping {
-		return nil
-	}
-	return snapshot.Write(opts.Path, checkpointVersion, c.encodeState())
-}
-
-// configDigest encodes every campaign field that shapes the event
-// stream (the controller's own config digest travels inside its
-// nested state). Resume compares byte-for-byte.
-func (c *campaign) configDigest() []byte {
-	var e snapshot.Encoder
-	cfg := c.cfg
-	e.U64(cfg.Seed)
-	e.Int(cfg.Agents)
-	e.Int(cfg.ArrivalsPerAgent)
-	snapshot.Unit(&e, cfg.MeanInterarrival)
-	snapshot.Unit(&e, cfg.MeanHold)
-	e.Int(cfg.Width)
-	snapshot.Unit(&e, cfg.Deadline)
-	snapshot.Unit(&e, cfg.Backoff.Base)
-	e.F64(cfg.Backoff.Factor)
-	snapshot.Unit(&e, cfg.Backoff.Cap)
-	e.F64(cfg.Backoff.Jitter)
-	e.Int(cfg.Backoff.MaxRetries)
-	for _, m := range cfg.Rates.MTBF {
-		snapshot.Unit(&e, m)
-	}
-	e.F64(cfg.Rates.WaveguideLossDB)
-	return e.Bytes()
-}
-
-// encodeState serializes the full campaign at an event boundary.
-func (c *campaign) encodeState() []byte {
-	var e snapshot.Encoder
-	e.String(string(c.configDigest()))
-	c.srv.EncodeState(&e)
+// EncodeState serializes the full campaign at an event boundary.
+func (c *campaign) EncodeState(e *snapshot.Encoder) {
+	c.srv.EncodeState(e)
 
 	e.Len(len(c.agents))
 	for _, ag := range c.agents {
-		for _, w := range ag.r.State() {
-			e.U64(w)
-		}
+		e.RandState(ag.r.State())
 		e.Int(ag.issued)
 	}
 
@@ -155,17 +89,17 @@ func (c *campaign) encodeState() []byte {
 		e.Int(s.b)
 		e.Int(s.width)
 		e.Int(int(s.phase))
-		snapshot.Unit(&e, s.firstAt)
+		snapshot.Unit(e, s.firstAt)
 		e.Int(s.circuit)
 		e.Int(s.grantWidth)
-		snapshot.Unit(&e, s.openedAt)
+		snapshot.Unit(e, s.openedAt)
 	}
 
 	// The event heap travels in its raw array layout, so the restored
 	// heap pops in exactly the original order.
 	e.Len(len(c.events))
 	for _, ev := range c.events {
-		snapshot.Unit(&e, ev.at)
+		snapshot.Unit(e, ev.at)
 		e.Int(ev.seq)
 		e.Int(int(ev.kind))
 		e.Int(ev.agent)
@@ -177,22 +111,23 @@ func (c *campaign) encodeState() []byte {
 	e.U64(c.processed)
 	e.Int(c.nextSession)
 
-	c.quant.EncodeState(&e)
-	e.Int(c.requests)
-	e.Int(c.attempts)
-	e.Int(c.retries)
-	e.Int(c.lost)
-	e.Int(c.leaked)
+	c.quant.EncodeState(e)
+	for _, n := range c.counters() {
+		e.Int(*n)
+	}
 	e.F64(c.goodputWS)
-	return e.Bytes()
 }
 
-// restoreState replays a checkpoint payload into a freshly built
+// counters lists the checkpointed campaign counters in payload order.
+// EncodeState and RestoreState share the list, so the two cannot
+// drift apart.
+func (c *campaign) counters() [5]*int {
+	return [5]*int{&c.requests, &c.attempts, &c.retries, &c.lost, &c.leaked}
+}
+
+// RestoreState replays a checkpoint payload into a freshly built
 // campaign skeleton.
-func (c *campaign) restoreState(d *snapshot.Decoder) error {
-	if digest := d.String(); d.Err() == nil && digest != string(c.configDigest()) {
-		return ctrl.ErrConfigMismatch
-	}
+func (c *campaign) RestoreState(d *snapshot.Decoder) error {
 	if err := c.srv.RestoreState(d); err != nil {
 		return err
 	}
@@ -202,11 +137,7 @@ func (c *campaign) restoreState(d *snapshot.Decoder) error {
 			snapshot.ErrCorruptSnapshot, n, len(c.agents))
 	}
 	for _, ag := range c.agents {
-		var st [4]uint64
-		for i := range st {
-			st[i] = d.U64()
-		}
-		ag.r.SetState(st)
+		ag.r.SetState(d.RandState())
 		ag.issued = d.Int()
 		if d.Err() == nil && (ag.issued < 0 || ag.issued > c.cfg.ArrivalsPerAgent) {
 			return fmt.Errorf("%w: agent issued %d of %d arrivals",
@@ -280,11 +211,9 @@ func (c *campaign) restoreState(d *snapshot.Decoder) error {
 	if err := c.quant.RestoreState(d); err != nil {
 		return err
 	}
-	c.requests = d.Int()
-	c.attempts = d.Int()
-	c.retries = d.Int()
-	c.lost = d.Int()
-	c.leaked = d.Int()
+	for _, n := range c.counters() {
+		*n = d.Int()
+	}
 	c.goodputWS = d.F64()
-	return d.Finish()
+	return d.Err()
 }

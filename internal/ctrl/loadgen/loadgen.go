@@ -18,6 +18,7 @@ import (
 	"lightpath/internal/ctrl"
 	"lightpath/internal/rng"
 	"lightpath/internal/sketch"
+	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 	"lightpath/internal/wafer"
 )
@@ -333,11 +334,11 @@ func (c *campaign) push(ev event) {
 // found violations — robust serving on corrupted state must not look
 // like robust serving on correct state.
 func Run(cfg Config) (*Result, error) {
-	return RunCheckpointed(cfg, CheckpointOptions{})
+	return RunCheckpointed(cfg, snapshot.Options{})
 }
 
-// run drains the event heap, checkpointing at the configured cadence.
-func (c *campaign) run(opts CheckpointOptions) (*Result, error) {
+// run drains the event heap; ck checkpoints at each event boundary.
+func (c *campaign) run(ck *snapshot.Checkpointer) (*Result, error) {
 	for len(c.events) > 0 {
 		ev := c.events.pop()
 		switch ev.kind {
@@ -353,11 +354,8 @@ func (c *campaign) run(opts CheckpointOptions) (*Result, error) {
 			}
 		}
 		c.processed++
-		if err := c.maybeCheckpoint(opts); err != nil {
+		if err := ck.Boundary(c.processed, c); err != nil {
 			return nil, err
-		}
-		if opts.StopAfterEvents > 0 && c.processed >= opts.StopAfterEvents {
-			return nil, ErrStopped
 		}
 	}
 	return c.result()

@@ -4,12 +4,16 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/ctrl"
 	"lightpath/internal/invariant"
+	"lightpath/internal/snapshot"
+	"lightpath/internal/snapshot/snapshottest"
 	"lightpath/internal/unit"
+	"lightpath/internal/wafer"
 )
 
 // smallConfig is a fast campaign that still exercises every mechanism:
@@ -110,13 +114,13 @@ func TestKillResumeAnyBoundary(t *testing.T) {
 	}
 	for _, stopAt := range []uint64{1, 17, 500, want.Events / 2, want.Events - 1} {
 		path := filepath.Join(t.TempDir(), "kill.ckpt")
-		opts := CheckpointOptions{Path: path, EveryEvents: 256, StopAfterEvents: stopAt}
+		opts := snapshot.Options{Path: path, EveryEvents: 256, StopAfterEvents: stopAt}
 		invariant.ResetGlobal()
 		if _, err := RunCheckpointed(cfg, opts); !errors.Is(err, ErrStopped) {
 			t.Fatalf("stop at %d: %v, want ErrStopped", stopAt, err)
 		}
 		invariant.ResetGlobal()
-		got, err := Resume(cfg, CheckpointOptions{Path: path, EveryEvents: 256})
+		got, err := Resume(cfg, snapshot.Options{Path: path, EveryEvents: 256})
 		if err != nil {
 			t.Fatalf("resume from boundary %d: %v", stopAt, err)
 		}
@@ -133,7 +137,7 @@ func TestResumeRejectsConfigChange(t *testing.T) {
 	t.Cleanup(invariant.ResetGlobal)
 	cfg := smallConfig(5)
 	path := filepath.Join(t.TempDir(), "c.ckpt")
-	opts := CheckpointOptions{Path: path, EveryEvents: 128, StopAfterEvents: 400}
+	opts := snapshot.Options{Path: path, EveryEvents: 128, StopAfterEvents: 400}
 	if _, err := RunCheckpointed(cfg, opts); !errors.Is(err, ErrStopped) {
 		t.Fatalf("seeding checkpoint: %v", err)
 	}
@@ -148,8 +152,92 @@ func TestResumeRejectsConfigChange(t *testing.T) {
 		bad := cfg
 		mutate(&bad)
 		invariant.ResetGlobal()
-		if _, err := Resume(bad, CheckpointOptions{Path: path}); !errors.Is(err, ctrl.ErrConfigMismatch) {
+		if _, err := Resume(bad, snapshot.Options{Path: path}); !errors.Is(err, ctrl.ErrConfigMismatch) {
 			t.Errorf("%s change resumed anyway: %v", name, err)
 		}
+	}
+}
+
+// TestCheckpointDigestCoversEveryField perturbs every leaf of the
+// defaulted campaign config, the controller's included, and demands
+// that each perturbed config refuses the checkpoint. Ctrl.Seed is the
+// one leaf that must not: the campaign seed overrides it, and two
+// configs that behave the same must digest the same — as must a zero
+// Ctrl and its spelled-out defaults.
+func TestCheckpointDigestCoversEveryField(t *testing.T) {
+	t.Cleanup(invariant.ResetGlobal)
+	cfg := smallConfig(5).withDefaults()
+	srv, err := ctrl.NewServer(cfg.Ctrl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Ctrl = srv.Config()
+	path := filepath.Join(t.TempDir(), "c.ckpt")
+	if _, err := RunCheckpointed(cfg, snapshot.Options{Path: path, StopAfterEvents: 100}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("seeding checkpoint: %v", err)
+	}
+	if _, err := Resume(smallConfig(5), snapshot.Options{Path: path, StopAfterEvents: 1}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("resume under the undefaulted spelling of the same config: %v", err)
+	}
+	leaves := snapshottest.Leaves(cfg)
+	if len(leaves) < 19+18 {
+		t.Fatalf("walk found %d leaves, want ctrl.Config's 19 plus loadgen's own", len(leaves))
+	}
+	for _, leaf := range leaves {
+		invariant.ResetGlobal()
+		_, err := Resume(leaf.Config, snapshot.Options{Path: path, StopAfterEvents: 1})
+		if leaf.Path == "Ctrl.Seed" {
+			if !errors.Is(err, ErrStopped) {
+				t.Errorf("Ctrl.Seed changed: resume err = %v, want the overridden seed ignored", err)
+			}
+			continue
+		}
+		if !errors.Is(err, snapshot.ErrConfigMismatch) {
+			t.Errorf("%s changed: resume err = %v, want ErrConfigMismatch", leaf.Path, err)
+		}
+	}
+}
+
+// TestResumeRejectsWaveguidePitchChange is the drift the nested
+// controller digest let through: a campaign resumed without complaint
+// under a different wafer waveguide pitch.
+func TestResumeRejectsWaveguidePitchChange(t *testing.T) {
+	t.Cleanup(invariant.ResetGlobal)
+	cfg := smallConfig(5)
+	cfg.Ctrl.WaferConfig = wafer.DefaultConfig()
+	path := filepath.Join(t.TempDir(), "c.ckpt")
+	if _, err := RunCheckpointed(cfg, snapshot.Options{Path: path, StopAfterEvents: 100}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("seeding checkpoint: %v", err)
+	}
+	bad := cfg
+	bad.Ctrl.WaferConfig.WaveguidePitch *= 2
+	invariant.ResetGlobal()
+	if _, err := Resume(bad, snapshot.Options{Path: path}); !errors.Is(err, ctrl.ErrConfigMismatch) {
+		t.Fatalf("WaveguidePitch x2: %v, want ErrConfigMismatch", err)
+	}
+}
+
+// TestResumeRefusesOldFormat: a checkpoint in the v1 layout (with the
+// controller's nested digest) is refused as a format mismatch, never
+// misreported as a config mismatch.
+func TestResumeRefusesOldFormat(t *testing.T) {
+	t.Cleanup(invariant.ResetGlobal)
+	cfg := smallConfig(5)
+	path := filepath.Join(t.TempDir(), "c.ckpt")
+	if _, err := RunCheckpointed(cfg, snapshot.Options{Path: path, StopAfterEvents: 100}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("seeding checkpoint: %v", err)
+	}
+	_, payload, err := snapshot.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := snapshot.Write(old, 1, payload); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Resume(cfg, snapshot.Options{Path: old})
+	if !errors.Is(err, snapshot.ErrCorruptSnapshot) || errors.Is(err, snapshot.ErrConfigMismatch) ||
+		!strings.Contains(err.Error(), "format v1, this build reads v2") {
+		t.Fatalf("v1 checkpoint: %v, want the format-version error", err)
 	}
 }

@@ -127,8 +127,9 @@ type Server struct {
 
 	// regionScratch backs health responses' Regions slice; see Submit.
 	regionScratch []RegionHealth
-	// ckptEnc is SaveCheckpoint's reusable payload encoder.
-	ckptEnc snapshot.Encoder
+	// ckpt drives SaveCheckpoint and LoadCheckpoint over the resolved
+	// config.
+	ckpt *snapshot.Checkpointer
 	// queueFullDetail is the precomputed shed message — shedding happens
 	// at full arrival rate during overload, too hot for Sprintf.
 	queueFullDetail string
@@ -158,6 +159,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.breakers[i] = NewBreaker(cfg.Breaker)
 	}
 	s.queueFullDetail = fmt.Sprintf("queue full (cap %d)", cfg.QueueCap)
+	s.ckpt = snapshot.NewCheckpointer(checkpointVersion, cfg, snapshot.Options{})
 	return s, nil
 }
 

@@ -15,37 +15,12 @@ import (
 // The load generator embeds this state inside its own campaign
 // checkpoint; the daemon writes it to a standalone file.
 
-// CheckpointVersion is the daemon checkpoint payload format.
-const CheckpointVersion = 1
-
-// configDigest encodes every Config field that shapes controller
-// behavior. Restores compare digests byte-for-byte: a checkpoint is
-// only continuable under the exact configuration that produced it.
-func (s *Server) configDigest() []byte {
-	var e snapshot.Encoder
-	c := s.cfg
-	e.U64(c.Seed)
-	e.Int(c.Wafers)
-	e.Int(c.WaferConfig.Rows)
-	e.Int(c.WaferConfig.Cols)
-	e.Int(c.WaferConfig.LasersPerTile)
-	e.Int(c.WaferConfig.SerDesPortsPerTile)
-	e.Int(c.WaferConfig.BusesPerLane)
-	e.Int(c.WaferConfig.FibersPerEdge)
-	e.Int(c.QueueCap)
-	snapshot.Unit(&e, c.EstablishService)
-	snapshot.Unit(&e, c.ReleaseService)
-	snapshot.Unit(&e, c.RerouteService)
-	e.Int(c.Breaker.FailThreshold)
-	snapshot.Unit(&e, c.Breaker.Cooldown)
-	e.Int(c.Breaker.HalfOpenProbes)
-	e.Int(int(c.Audit))
-	return e.Bytes()
-}
+// checkpointVersion is the daemon checkpoint payload format. In
+// version 2 the digest is the checkpoint driver's.
+const checkpointVersion = 2
 
 // EncodeState appends the server's full mutable state.
 func (s *Server) EncodeState(e *snapshot.Encoder) {
-	e.String(string(s.configDigest()))
 	s.alloc.EncodeState(e)
 	s.aud.EncodeState(e)
 	e.Len(len(s.breakers))
@@ -58,31 +33,24 @@ func (s *Server) EncodeState(e *snapshot.Encoder) {
 	for _, t := range s.pending {
 		snapshot.Unit(e, t)
 	}
-	st := s.stats
-	e.Int(st.Arrivals)
-	e.Int(st.Served)
-	e.Int(st.Degraded)
-	e.Int(st.Shed)
-	e.Int(st.DeadlineMiss)
-	e.Int(st.BreakerRejects)
-	e.Int(st.NoPath)
-	e.Int(st.EndpointFailed)
-	e.Int(st.UnknownCircuit)
-	e.Int(st.BadRequest)
-	e.Int(st.FaultsApplied)
-	e.Int(st.Reroutes)
-	e.Int(st.RerouteDegraded)
-	e.Int(st.RerouteFailed)
-	e.Int(st.CircuitsLost)
+	for _, c := range s.stats.counters() {
+		e.Int(*c)
+	}
+}
+
+// counters lists the checkpointed Stats counters in payload order.
+// EncodeState and RestoreState share the list, so the two cannot
+// drift apart. The plan-cache counters live in the allocator.
+func (st *Stats) counters() [15]*int {
+	return [15]*int{&st.Arrivals, &st.Served, &st.Degraded, &st.Shed, &st.DeadlineMiss,
+		&st.BreakerRejects, &st.NoPath, &st.EndpointFailed, &st.UnknownCircuit, &st.BadRequest,
+		&st.FaultsApplied, &st.Reroutes, &st.RerouteDegraded, &st.RerouteFailed, &st.CircuitsLost}
 }
 
 // RestoreState replays state captured by EncodeState into a freshly
-// built server with the same Config. A digest mismatch returns
-// ErrConfigMismatch; structural corruption wraps ErrCorruptSnapshot.
+// built server with the same Config. Structural corruption wraps
+// ErrCorruptSnapshot; the config check is the checkpoint driver's.
 func (s *Server) RestoreState(d *snapshot.Decoder) error {
-	if digest := d.String(); d.Err() == nil && digest != string(s.configDigest()) {
-		return ErrConfigMismatch
-	}
 	if err := s.alloc.RestoreState(d); err != nil {
 		return err
 	}
@@ -116,54 +84,28 @@ func (s *Server) RestoreState(d *snapshot.Decoder) error {
 		prev = t
 		s.pending = append(s.pending, t)
 	}
-	s.stats = Stats{
-		Arrivals:        d.Int(),
-		Served:          d.Int(),
-		Degraded:        d.Int(),
-		Shed:            d.Int(),
-		DeadlineMiss:    d.Int(),
-		BreakerRejects:  d.Int(),
-		NoPath:          d.Int(),
-		EndpointFailed:  d.Int(),
-		UnknownCircuit:  d.Int(),
-		BadRequest:      d.Int(),
-		FaultsApplied:   d.Int(),
-		Reroutes:        d.Int(),
-		RerouteDegraded: d.Int(),
-		RerouteFailed:   d.Int(),
-		CircuitsLost:    d.Int(),
+	for _, c := range s.stats.counters() {
+		*c = d.Int()
 	}
 	return d.Err()
 }
 
 // SaveCheckpoint atomically writes the server's state to path, keeping
-// the previous good snapshot beside it for torn-write fallback. The
-// encoder is owned by the server and reused across checkpoints, so a
-// periodic-durability cadence does not re-grow a megabyte-scale buffer
-// every interval.
+// the previous good snapshot beside it for torn-write fallback.
 func (s *Server) SaveCheckpoint(path string) error {
-	s.ckptEnc.Reset()
-	s.EncodeState(&s.ckptEnc)
-	return snapshot.Write(path, CheckpointVersion, s.ckptEnc.Bytes())
+	return s.ckpt.Save(path, s)
 }
 
 // LoadCheckpoint builds a server from cfg and restores the checkpoint
 // at path into it. A corrupted or torn primary snapshot falls back to
-// the previous good one (snapshot.Load's contract).
+// the previous good one (snapshot.Load's contract); a checkpoint
+// written under another config returns ErrConfigMismatch.
 func LoadCheckpoint(cfg Config, path string) (*Server, error) {
-	version, payload, _, err := snapshot.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: checkpoint format v%d, this build reads v%d",
-			snapshot.ErrCorruptSnapshot, version, CheckpointVersion)
-	}
 	s, err := NewServer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.RestoreState(snapshot.NewDecoder(payload)); err != nil {
+	if err := s.ckpt.Restore(path, s); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -5,12 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/invariant"
 	"lightpath/internal/snapshot"
+	"lightpath/internal/snapshot/snapshottest"
 	"lightpath/internal/unit"
+	"lightpath/internal/wafer"
 )
 
 // workServer drives a server through a representative mixed history:
@@ -159,6 +162,80 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	bad.Seed = 4
 	if _, err := LoadCheckpoint(bad, path); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("seed change: %v, want ErrConfigMismatch", err)
+	}
+}
+
+// TestCheckpointDigestCoversEveryField perturbs every leaf of the
+// resolved controller config and demands that each perturbed config
+// refuses the checkpoint: the digest is complete by construction.
+func TestCheckpointDigestCoversEveryField(t *testing.T) {
+	s, err := NewServer(Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(invariant.ResetGlobal)
+	path := filepath.Join(t.TempDir(), "ctrl.ckpt")
+	if err := s.SaveCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	leaves := snapshottest.Leaves(s.Config())
+	if len(leaves) < 19 {
+		t.Fatalf("walk found %d leaves, ctrl.Config has at least 19", len(leaves))
+	}
+	for _, leaf := range leaves {
+		if _, err := LoadCheckpoint(leaf.Config, path); !errors.Is(err, ErrConfigMismatch) {
+			t.Errorf("%s changed: restore err = %v, want ErrConfigMismatch", leaf.Path, err)
+		}
+	}
+}
+
+// TestCheckpointRejectsTileEdgeChange is the drift the hand-written
+// digest let through: TileEdge feeds route propagation loss, yet a
+// checkpoint restored under TileEdge x4 without complaint.
+func TestCheckpointRejectsTileEdgeChange(t *testing.T) {
+	cfg := Config{Seed: 3, WaferConfig: wafer.DefaultConfig()}
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(invariant.ResetGlobal)
+	path := filepath.Join(t.TempDir(), "ctrl.ckpt")
+	if err := s.SaveCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	bad := cfg
+	bad.WaferConfig.TileEdge *= 4
+	if _, err := LoadCheckpoint(bad, path); !errors.Is(err, ErrConfigMismatch) {
+		t.Fatalf("TileEdge x4: %v, want ErrConfigMismatch", err)
+	}
+}
+
+// TestCheckpointRefusesOldFormat: a checkpoint in the v1 layout (which
+// carried its own digest) is refused as a format mismatch, never
+// misreported as a config mismatch.
+func TestCheckpointRefusesOldFormat(t *testing.T) {
+	cfg := Config{Seed: 3}
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(invariant.ResetGlobal)
+	path := filepath.Join(t.TempDir(), "ctrl.ckpt")
+	if err := s.SaveCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := snapshot.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := snapshot.Write(old, 1, payload); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadCheckpoint(cfg, old)
+	if !errors.Is(err, snapshot.ErrCorruptSnapshot) || errors.Is(err, ErrConfigMismatch) ||
+		!strings.Contains(err.Error(), "format v1, this build reads v2") {
+		t.Fatalf("v1 checkpoint: %v, want the format-version error", err)
 	}
 }
 

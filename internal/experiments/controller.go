@@ -1,16 +1,14 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/ctrl"
 	"lightpath/internal/ctrl/loadgen"
-	"lightpath/internal/engine"
 	"lightpath/internal/invariant"
+	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
 
@@ -199,39 +197,16 @@ func ControllerWithOptions(seed uint64, opts ControllerOptions) (ControllerResul
 	if trials < 1 {
 		return ControllerResult{}, fmt.Errorf("experiments: controller trials %d < 1", trials)
 	}
-	outcomes, err := engine.Map(trials, func(i int) (*loadgen.Result, error) {
-		cfg := controllerTrialConfig(seed + uint64(i)*ctrlTrialStride)
-		copts := loadgen.CheckpointOptions{
-			EveryEvents:     opts.EveryEvents,
-			StopAfterEvents: opts.KillAfterEvents,
-		}
-		if opts.CheckpointDir != "" {
-			copts.Path = filepath.Join(opts.CheckpointDir, fmt.Sprintf("ctrl-trial-%d.ckpt", i))
-		}
-		var out *loadgen.Result
-		var err error
-		if opts.Resume {
-			out, err = loadgen.Resume(cfg, copts)
-		} else {
-			out, err = loadgen.RunCheckpointed(cfg, copts)
-		}
-		if err != nil {
-			// An injected stop is the expected per-trial outcome in
-			// kill mode, not a campaign failure: every trial must
-			// still run and leave its checkpoint behind.
-			if opts.KillAfterEvents > 0 && errors.Is(err, loadgen.ErrStopped) {
-				return nil, nil
-			}
-			return nil, fmt.Errorf("experiments: controller trial %d: %w", i, err)
-		}
-		return out, nil
-	})
+	run := loadgen.RunCheckpointed
+	if opts.Resume {
+		run = loadgen.Resume
+	}
+	outcomes, err := checkpointedTrials("ctrl", trials, opts.CheckpointDir, opts.EveryEvents, opts.KillAfterEvents,
+		func(i int, copts snapshot.Options) (*loadgen.Result, error) {
+			return run(controllerTrialConfig(seed+uint64(i)*ctrlTrialStride), copts)
+		})
 	if err != nil {
 		return ControllerResult{}, err
-	}
-	if opts.KillAfterEvents > 0 {
-		return ControllerResult{}, fmt.Errorf("experiments: controller trials halted at event %d: %w",
-			opts.KillAfterEvents, loadgen.ErrStopped)
 	}
 	var res ControllerResult
 	for i, o := range outcomes {

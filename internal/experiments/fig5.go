@@ -54,17 +54,18 @@ func Fig5(buffer unit.Bytes, seed uint64) (Fig5Result, error) {
 	if err != nil {
 		return Fig5Result{}, err
 	}
-	fabric, err := core.New(core.Options{Seed: seed})
+	proto, err := core.New(core.Options{Seed: seed})
 	if err != nil {
 		return Fig5Result{}, err
 	}
 	var res Fig5Result
 	util := core.UtilizationReport(a)
-	// Planning is read-only on the fabric, so the per-slice plans fan
-	// out over the shared instance; MaxDrop folds in slice order.
+	// Planning writes the fabric's executor scratch, so each per-slice
+	// plan runs on its own clone of the pristine fabric (bit-identical
+	// to it); MaxDrop folds in slice order.
 	rows, err := engine.Map(len(util), func(si int) (Fig5Row, error) {
 		u := util[si]
-		plan, err := fabric.PlanAllReduce(a, si, buffer)
+		plan, err := proto.Clone().PlanAllReduce(a, si, buffer)
 		if err != nil {
 			return Fig5Row{}, fmt.Errorf("experiments: plan for %s: %w", u.Slice, err)
 		}
@@ -134,16 +135,17 @@ func Sweep(buffers []unit.Bytes, seed uint64) (SweepResult, error) {
 	if err != nil {
 		return SweepResult{}, err
 	}
-	fabric, err := core.New(core.Options{Seed: seed})
+	proto, err := core.New(core.Options{Seed: seed})
 	if err != nil {
 		return SweepResult{}, err
 	}
 	res := SweepResult{Slice: "Slice-1"}
-	// Each buffer size plans independently against the read-only
-	// fabric; the crossover scan below runs on the merged, ordered
-	// points so the "smallest winning buffer" answer is unchanged.
+	// Each buffer size plans on its own clone of the pristine fabric
+	// (planning writes the executor scratch); the crossover scan below
+	// runs on the merged, ordered points so the "smallest winning
+	// buffer" answer is unchanged.
 	points, err := engine.Map(len(buffers), func(i int) (SweepPoint, error) {
-		plan, err := fabric.PlanAllReduce(a, 0, buffers[i])
+		plan, err := proto.Clone().PlanAllReduce(a, 0, buffers[i])
 		if err != nil {
 			return SweepPoint{}, err
 		}

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 
-	"lightpath/internal/engine"
 	"lightpath/internal/fleet"
 	"lightpath/internal/invariant"
+	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
 
@@ -97,7 +95,7 @@ type SoakOptions struct {
 	EveryEvents uint64
 	// KillAfterEvents, when positive, halts every trial at that event
 	// boundary after writing a final checkpoint; the campaign then
-	// returns an error wrapping fleet.ErrStopped. It simulates a
+	// returns an error wrapping snapshot.ErrStopped. It simulates a
 	// mid-campaign crash for the resume smoke test.
 	KillAfterEvents uint64
 	// Resume continues each trial from its checkpoint file instead of
@@ -123,44 +121,21 @@ func SoakWithOptions(seed uint64, trials int, opts SoakOptions) (SoakResult, err
 	if trials < 1 {
 		return SoakResult{}, fmt.Errorf("experiments: soak trials %d < 1", trials)
 	}
-	outcomes, err := engine.Map(trials, func(i int) (*fleet.Outcome, error) {
-		cfg := fleet.Config{
-			Seed:       seed + uint64(i)*soakTrialStride,
-			Horizon:    soakHorizon,
-			Audit:      invariant.Paranoid,
-			SampleMode: fleet.SampleExact,
-		}
-		copts := fleet.CheckpointOptions{
-			EveryEvents:     opts.EveryEvents,
-			StopAfterEvents: opts.KillAfterEvents,
-		}
-		if opts.CheckpointDir != "" {
-			copts.Path = filepath.Join(opts.CheckpointDir, fmt.Sprintf("soak-trial-%d.ckpt", i))
-		}
-		var out *fleet.Outcome
-		var err error
-		if opts.Resume {
-			out, err = fleet.Resume(cfg, copts)
-		} else {
-			out, err = fleet.RunCheckpointed(cfg, copts)
-		}
-		if err != nil {
-			// An injected stop is the expected per-trial outcome in
-			// kill mode, not a campaign failure: every trial must
-			// still run and leave its checkpoint behind.
-			if opts.KillAfterEvents > 0 && errors.Is(err, fleet.ErrStopped) {
-				return nil, nil
-			}
-			return nil, fmt.Errorf("experiments: soak trial %d: %w", i, err)
-		}
-		return out, nil
-	})
+	run := fleet.RunCheckpointed
+	if opts.Resume {
+		run = fleet.Resume
+	}
+	outcomes, err := checkpointedTrials("soak", trials, opts.CheckpointDir, opts.EveryEvents, opts.KillAfterEvents,
+		func(i int, copts snapshot.Options) (*fleet.Outcome, error) {
+			return run(fleet.Config{
+				Seed:       seed + uint64(i)*soakTrialStride,
+				Horizon:    soakHorizon,
+				Audit:      invariant.Paranoid,
+				SampleMode: fleet.SampleExact,
+			}, copts)
+		})
 	if err != nil {
 		return SoakResult{}, err
-	}
-	if opts.KillAfterEvents > 0 {
-		return SoakResult{}, fmt.Errorf("experiments: soak trials halted at event %d: %w",
-			opts.KillAfterEvents, fleet.ErrStopped)
 	}
 	res := SoakResult{WorstAvailability: 1}
 	for i, o := range outcomes {

@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 
 	"lightpath/internal/chaos"
@@ -19,148 +19,57 @@ import (
 // to the uninterrupted run — the property the crash-injection tests
 // sweep over every boundary.
 
-// checkpointVersion is the current checkpoint payload format.
-const checkpointVersion = 1
+// checkpointVersion is the current checkpoint payload format. In
+// version 2 the digest is the checkpoint driver's.
+const checkpointVersion = 2
 
-// ErrStopped is returned by RunCheckpointed when the soak halted at
-// the StopAfterEvents boundary instead of reaching the horizon. The
-// crash-injection harness uses it to kill a soak at a chosen event
-// and later Resume it.
-var ErrStopped = errors.New("fleet: soak stopped at checkpoint boundary")
-
-// ErrConfigMismatch is returned by Resume when the checkpoint was
-// written by a soak with a different configuration — resuming it
-// would silently break determinism instead of continuing the run.
-var ErrConfigMismatch = errors.New("fleet: checkpoint config does not match")
-
-// CheckpointOptions configures periodic snapshotting of a soak.
-type CheckpointOptions struct {
-	// Path is the checkpoint file; the writer keeps the previous good
-	// snapshot beside it (Path + ".prev") for torn-write fallback.
-	// Empty disables checkpointing.
-	Path string
-	// EveryEvents is the checkpoint cadence in event boundaries
-	// (default 1024).
-	EveryEvents uint64
-	// StopAfterEvents, when positive, halts the soak with ErrStopped
-	// once that many event boundaries have been processed, writing a
-	// final checkpoint first if Path is set. It exists for the
-	// crash-injection harness.
-	StopAfterEvents uint64
-}
-
-func (o CheckpointOptions) withDefaults() CheckpointOptions {
-	if o.EveryEvents == 0 {
-		o.EveryEvents = 1024
-	}
-	return o
-}
-
-// RunCheckpointed executes the soak like Run, additionally writing a
-// checkpoint every opts.EveryEvents event boundaries. The write is
-// atomic (temp file, fsync, rename) and rotates the previous good
-// snapshot aside, so a crash mid-write can always fall back.
-func RunCheckpointed(cfg Config, opts CheckpointOptions) (*Outcome, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
-	s, faults, err := buildSoak(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.place()
-	return s.run(faults, opts)
+// RunCheckpointed executes the soak like Run, additionally
+// checkpointing through opts: every opts.EveryEvents event boundaries
+// (default 1024), and at the StopAfterEvents boundary, where it
+// returns snapshot.ErrStopped.
+func RunCheckpointed(cfg Config, opts snapshot.Options) (*Outcome, error) {
+	return runSoak(cfg, opts, false)
 }
 
 // Resume continues a soak from the checkpoint at opts.Path, written
 // by an earlier RunCheckpointed with the same Config. A corrupted or
 // torn primary snapshot falls back to the previous good one; because
 // the soak is deterministic, resuming from an older boundary replays
-// to the identical Outcome. Checkpointing continues under the same
-// options.
-func Resume(cfg Config, opts CheckpointOptions) (*Outcome, error) {
+// to the identical Outcome. Checkpointing continues under opts.
+func Resume(cfg Config, opts snapshot.Options) (*Outcome, error) {
+	return runSoak(cfg, opts, true)
+}
+
+func runSoak(cfg Config, opts snapshot.Options, resume bool) (*Outcome, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	if opts.Path == "" {
-		return nil, errors.New("fleet: resume needs a checkpoint path")
-	}
-	version, payload, _, err := snapshot.Load(opts.Path)
+	s, err := buildSoak(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if version != checkpointVersion {
-		return nil, fmt.Errorf("%w: checkpoint format v%d, this build reads v%d",
-			snapshot.ErrCorruptSnapshot, version, checkpointVersion)
+	opts.EveryEvents = cmp.Or(opts.EveryEvents, 1024)
+	ck := snapshot.NewCheckpointer(checkpointVersion, cfg, opts)
+	if resume {
+		err = ck.Restore(opts.Path, s)
+	} else {
+		s.place()
 	}
-	s, faults, err := buildSoak(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.restoreState(snapshot.NewDecoder(payload), len(faults)); err != nil {
-		return nil, err
-	}
-	return s.run(faults, opts)
+	return s.run(ck)
 }
 
-// maybeCheckpoint writes a snapshot when the current event boundary
-// is on the cadence, or when the soak is about to stop there.
-func (s *soak) maybeCheckpoint(opts CheckpointOptions) error {
-	if opts.Path == "" {
-		return nil
-	}
-	due := s.events%opts.EveryEvents == 0
-	stopping := opts.StopAfterEvents > 0 && s.events >= opts.StopAfterEvents
-	if !due && !stopping {
-		return nil
-	}
-	return snapshot.Write(opts.Path, checkpointVersion, s.encodeState())
-}
-
-// configDigest encodes every Config field that shapes the event
-// stream. Resume compares digests byte-for-byte: a checkpoint is only
-// continuable under the exact configuration that produced it.
-func (s *soak) configDigest() []byte {
-	var e snapshot.Encoder
-	c := s.cfg
-	e.U64(c.Seed)
-	e.Int(c.Wafers)
-	e.Int(c.Wafer.Rows)
-	e.Int(c.Wafer.Cols)
-	snapshot.Unit(&e, c.Horizon)
-	snapshot.Unit(&e, c.SampleEvery)
-	for _, m := range c.Rates.MTBF {
-		snapshot.Unit(&e, m)
-	}
-	for _, m := range c.MeanRepair {
-		snapshot.Unit(&e, m)
-	}
-	e.Int(c.Crews)
-	e.Int(c.Spares)
-	e.Int(c.Jobs)
-	e.Int(c.Width)
-	e.Int(int(c.Audit))
-	e.Int(int(c.SampleMode))
-	e.Int(c.ReservoirCap)
-	return e.Bytes()
-}
-
-// encodeState serializes the full soak state at an event boundary.
-func (s *soak) encodeState() []byte {
-	var e snapshot.Encoder
-	e.String(string(s.configDigest()))
+// EncodeState serializes the full soak state at an event boundary.
+func (s *soak) EncodeState(e *snapshot.Encoder) {
 	e.U64(s.events)
 	e.Int(s.fi)
-	snapshot.Unit(&e, s.nextSample)
-	for _, w := range s.mttr.State() {
-		e.U64(w)
-	}
-	s.alloc.EncodeState(&e)
-	s.aud.EncodeState(&e)
+	snapshot.Unit(e, s.nextSample)
+	e.RandState(s.mttr.State())
+	s.alloc.EncodeState(e)
+	s.aud.EncodeState(e)
 
 	e.Len(len(s.jobs))
 	for _, j := range s.jobs {
@@ -180,62 +89,57 @@ func (s *soak) encodeState() []byte {
 	}
 	e.Len(len(s.pending))
 	for _, f := range s.pending {
-		encodeFault(&e, f)
+		encodeFault(e, f)
 	}
 	e.Int(s.busy)
 	// The repair heap travels in its array layout, so the restored
 	// heap pops in exactly the original order.
 	e.Len(len(s.repairs))
 	for _, ev := range s.repairs {
-		snapshot.Unit(&e, ev.at)
+		snapshot.Unit(e, ev.at)
 		e.Int(ev.seq)
-		encodeFault(&e, ev.fault)
+		encodeFault(e, ev.fault)
 	}
 	e.Int(s.seq)
 
-	e.Int(s.out.Faults)
-	e.Int(s.out.Repairs)
-	e.Int(s.out.ShedEvents)
-	e.Int(s.out.Readmissions)
-	e.Int(s.out.Reroutes)
-	e.Int(s.out.Splices)
-	e.Int(s.out.MinSpares)
-	e.Int(s.out.SamplesSeen)
-	e.Int(s.blastSum)
+	for _, c := range s.counters() {
+		e.Int(*c)
+	}
 	e.F64(s.liveSum)
 	e.F64(s.goodSum)
 	e.Len(len(s.out.Samples))
 	for _, row := range s.out.Samples {
-		encodeSample(&e, row)
+		encodeSample(e, row)
 	}
-	s.res.EncodeState(&e, encodeSample)
-	s.quant.EncodeState(&e)
-	return e.Bytes()
+	s.res.EncodeState(e, encodeSample)
+	s.quant.EncodeState(e)
 }
 
-// restoreState replays a checkpoint payload into a freshly built soak
-// skeleton. numFaults bounds the schedule cursor.
-func (s *soak) restoreState(d *snapshot.Decoder, numFaults int) error {
-	if digest := d.String(); d.Err() == nil && digest != string(s.configDigest()) {
-		return ErrConfigMismatch
-	}
+// counters lists the checkpointed outcome counters in payload order.
+// EncodeState and RestoreState share the list, so the two cannot
+// drift apart.
+func (s *soak) counters() [9]*int {
+	o := &s.out
+	return [9]*int{&o.Faults, &o.Repairs, &o.ShedEvents, &o.Readmissions, &o.Reroutes,
+		&o.Splices, &o.MinSpares, &o.SamplesSeen, &s.blastSum}
+}
+
+// RestoreState replays a checkpoint payload into a freshly built soak
+// skeleton.
+func (s *soak) RestoreState(d *snapshot.Decoder) error {
 	s.events = d.U64()
 	s.fi = d.Int()
 	s.nextSample = snapshot.DecodeUnit[unit.Seconds](d)
-	var st [4]uint64
-	for i := range st {
-		st[i] = d.U64()
-	}
-	s.mttr.SetState(st)
+	s.mttr.SetState(d.RandState())
 	if err := s.alloc.RestoreState(d); err != nil {
 		return err
 	}
 	if err := s.aud.RestoreState(d); err != nil {
 		return err
 	}
-	if d.Err() == nil && (s.fi < 0 || s.fi > numFaults) {
+	if d.Err() == nil && (s.fi < 0 || s.fi > len(s.faults)) {
 		return fmt.Errorf("%w: fault cursor %d outside schedule of %d",
-			snapshot.ErrCorruptSnapshot, s.fi, numFaults)
+			snapshot.ErrCorruptSnapshot, s.fi, len(s.faults))
 	}
 
 	if n := d.Len(); d.Err() == nil && n != s.cfg.Jobs {
@@ -288,15 +192,9 @@ func (s *soak) restoreState(d *snapshot.Decoder, numFaults int) error {
 	}
 	s.seq = d.Int()
 
-	s.out.Faults = d.Int()
-	s.out.Repairs = d.Int()
-	s.out.ShedEvents = d.Int()
-	s.out.Readmissions = d.Int()
-	s.out.Reroutes = d.Int()
-	s.out.Splices = d.Int()
-	s.out.MinSpares = d.Int()
-	s.out.SamplesSeen = d.Int()
-	s.blastSum = d.Int()
+	for _, c := range s.counters() {
+		*c = d.Int()
+	}
 	s.liveSum = d.F64()
 	s.goodSum = d.F64()
 	n = d.Len()
@@ -306,10 +204,7 @@ func (s *soak) restoreState(d *snapshot.Decoder, numFaults int) error {
 	if err := s.res.RestoreState(d, decodeSample); err != nil {
 		return err
 	}
-	if err := s.quant.RestoreState(d); err != nil {
-		return err
-	}
-	return d.Finish()
+	return s.quant.RestoreState(d)
 }
 
 func encodeFault(e *snapshot.Encoder, f chaos.Fault) {

@@ -5,11 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/snapshot"
+	"lightpath/internal/snapshot/snapshottest"
 	"lightpath/internal/unit"
+	"lightpath/internal/wafer"
 )
 
 // crashCfg is a small but busy soak: a short horizon with dense
@@ -40,11 +43,11 @@ func TestResumeByteIdenticalAtEveryBoundary(t *testing.T) {
 	const stride = 7 // sweep a co-prime stride so every event class gets hit
 	for kill := uint64(1); kill <= want.Events; kill += stride {
 		path := filepath.Join(dir, "ckpt")
-		_, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, StopAfterEvents: kill})
-		if !errors.Is(err, ErrStopped) {
+		_, err := RunCheckpointed(cfg, snapshot.Options{Path: path, StopAfterEvents: kill})
+		if !errors.Is(err, snapshot.ErrStopped) {
 			t.Fatalf("kill at %d: err = %v, want ErrStopped", kill, err)
 		}
-		got, err := Resume(cfg, CheckpointOptions{Path: path})
+		got, err := Resume(cfg, snapshot.Options{Path: path})
 		if err != nil {
 			t.Fatalf("resume from event %d: %v", kill, err)
 		}
@@ -70,8 +73,8 @@ func TestResumeFallsBackOnTornSnapshot(t *testing.T) {
 	// Checkpoint every 5 events and stop mid-run, so both the primary
 	// and the rotated .prev exist and differ.
 	kill := want.Events / 2
-	_, err = RunCheckpointed(cfg, CheckpointOptions{Path: path, EveryEvents: 5, StopAfterEvents: kill})
-	if !errors.Is(err, ErrStopped) {
+	_, err = RunCheckpointed(cfg, snapshot.Options{Path: path, EveryEvents: 5, StopAfterEvents: kill})
+	if !errors.Is(err, snapshot.ErrStopped) {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
 	prev, err := os.ReadFile(snapshot.PrevPath(path))
@@ -91,7 +94,7 @@ func TestResumeFallsBackOnTornSnapshot(t *testing.T) {
 		if err := os.WriteFile(path, mutate(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Resume(cfg, CheckpointOptions{Path: path})
+		got, err := Resume(cfg, snapshot.Options{Path: path})
 		if err != nil {
 			t.Fatalf("%s: resume did not fall back: %v", name, err)
 		}
@@ -119,7 +122,7 @@ func TestResumeFallsBackOnTornSnapshot(t *testing.T) {
 	if err := os.WriteFile(snapshot.PrevPath(path), []byte("also torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resume(cfg, CheckpointOptions{Path: path}); !errors.Is(err, snapshot.ErrCorruptSnapshot) {
+	if _, err := Resume(cfg, snapshot.Options{Path: path}); !errors.Is(err, snapshot.ErrCorruptSnapshot) {
 		t.Fatalf("both-corrupt resume err = %v, want ErrCorruptSnapshot", err)
 	}
 }
@@ -130,13 +133,78 @@ func TestResumeFallsBackOnTornSnapshot(t *testing.T) {
 func TestResumeRejectsConfigMismatch(t *testing.T) {
 	cfg := crashCfg()
 	path := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, StopAfterEvents: 10}); !errors.Is(err, ErrStopped) {
+	if _, err := RunCheckpointed(cfg, snapshot.Options{Path: path, StopAfterEvents: 10}); !errors.Is(err, snapshot.ErrStopped) {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
 	other := cfg
 	other.Seed++
-	if _, err := Resume(other, CheckpointOptions{Path: path}); !errors.Is(err, ErrConfigMismatch) {
+	if _, err := Resume(other, snapshot.Options{Path: path}); !errors.Is(err, snapshot.ErrConfigMismatch) {
 		t.Fatalf("err = %v, want ErrConfigMismatch", err)
+	}
+}
+
+// TestCheckpointDigestCoversEveryField perturbs every leaf of the
+// defaulted soak config and demands that each perturbed config refuses
+// the checkpoint: the digest is complete by construction.
+func TestCheckpointDigestCoversEveryField(t *testing.T) {
+	cfg := crashCfg().withDefaults()
+	path := filepath.Join(t.TempDir(), "ckpt")
+	if _, err := RunCheckpointed(cfg, snapshot.Options{Path: path, StopAfterEvents: 10}); !errors.Is(err, snapshot.ErrStopped) {
+		t.Fatalf("err = %v, want ErrStopped", err)
+	}
+	leaves := snapshottest.Leaves(cfg)
+	if len(leaves) < 31 {
+		t.Fatalf("walk found %d leaves, fleet.Config has at least 31", len(leaves))
+	}
+	for _, leaf := range leaves {
+		if _, err := Resume(leaf.Config, snapshot.Options{Path: path}); !errors.Is(err, snapshot.ErrConfigMismatch) {
+			t.Errorf("%s changed: resume err = %v, want ErrConfigMismatch", leaf.Path, err)
+		}
+	}
+}
+
+// TestResumeRejectsLossGeometryChange is the drift the hand-written
+// digest let through: a soak resumed without complaint under a wafer
+// with TileEdge x4, or under a 9 dB waveguide-degradation bound.
+func TestResumeRejectsLossGeometryChange(t *testing.T) {
+	cfg := crashCfg()
+	path := filepath.Join(t.TempDir(), "ckpt")
+	if _, err := RunCheckpointed(cfg, snapshot.Options{Path: path, StopAfterEvents: 10}); !errors.Is(err, snapshot.ErrStopped) {
+		t.Fatalf("err = %v, want ErrStopped", err)
+	}
+	edge := cfg
+	edge.Wafer = wafer.DefaultConfig()
+	edge.Wafer.TileEdge *= 4
+	loss := cfg
+	loss.Rates.WaveguideLossDB = 9
+	for name, bad := range map[string]Config{"Wafer.TileEdge x4": edge, "Rates.WaveguideLossDB=9": loss} {
+		if _, err := Resume(bad, snapshot.Options{Path: path}); !errors.Is(err, snapshot.ErrConfigMismatch) {
+			t.Errorf("%s: err = %v, want ErrConfigMismatch", name, err)
+		}
+	}
+}
+
+// TestResumeRefusesOldFormat: a checkpoint in the v1 layout (which
+// carried its own digest) is refused as a format mismatch, never
+// misreported as a config mismatch.
+func TestResumeRefusesOldFormat(t *testing.T) {
+	cfg := crashCfg()
+	path := filepath.Join(t.TempDir(), "ckpt")
+	if _, err := RunCheckpointed(cfg, snapshot.Options{Path: path, StopAfterEvents: 10}); !errors.Is(err, snapshot.ErrStopped) {
+		t.Fatalf("err = %v, want ErrStopped", err)
+	}
+	_, payload, err := snapshot.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := snapshot.Write(old, 1, payload); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Resume(cfg, snapshot.Options{Path: old})
+	if !errors.Is(err, snapshot.ErrCorruptSnapshot) || errors.Is(err, snapshot.ErrConfigMismatch) ||
+		!strings.Contains(err.Error(), "format v1, this build reads v2") {
+		t.Fatalf("v1 checkpoint: %v, want the format-version error", err)
 	}
 }
 
@@ -144,11 +212,11 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 // never written: not-exists, not corruption.
 func TestResumeMissingCheckpoint(t *testing.T) {
 	cfg := crashCfg()
-	_, err := Resume(cfg, CheckpointOptions{Path: filepath.Join(t.TempDir(), "nope")})
+	_, err := Resume(cfg, snapshot.Options{Path: filepath.Join(t.TempDir(), "nope")})
 	if err == nil || errors.Is(err, snapshot.ErrCorruptSnapshot) {
 		t.Fatalf("err = %v, want a missing-file error", err)
 	}
-	if _, err := Resume(cfg, CheckpointOptions{}); err == nil {
+	if _, err := Resume(cfg, snapshot.Options{}); err == nil {
 		t.Fatal("resume without a path must fail")
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"lightpath/internal/rng"
 	"lightpath/internal/route"
 	"lightpath/internal/sketch"
+	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 	"lightpath/internal/wafer"
 )
@@ -306,9 +307,14 @@ type soak struct {
 	repairs repairQueue
 	seq     int
 
+	// faults is the precomputed fault schedule. It is a pure function
+	// of the config, so a resume rebuilds it and only the cursor fi
+	// travels in the checkpoint.
+	faults []chaos.Fault
+
 	// Event-loop cursors, part of the checkpoint: the index into the
-	// precomputed fault schedule, the next sample time, and the count
-	// of processed event boundaries.
+	// fault schedule, the next sample time, and the count of processed
+	// event boundaries.
 	fi         int
 	nextSample unit.Seconds
 	events     uint64
@@ -330,10 +336,10 @@ type soak struct {
 // auditor, RNG streams, sketches, fault schedule — without tenant
 // placement, which is the part a resume replays from the checkpoint
 // instead. cfg must already have defaults applied and be valid.
-func buildSoak(cfg Config) (*soak, []chaos.Fault, error) {
+func buildSoak(cfg Config) (*soak, error) {
 	rack, err := wafer.NewRack(cfg.Wafer, cfg.Wafers)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	root := rng.New(cfg.Seed)
 	s := &soak{
@@ -348,9 +354,8 @@ func buildSoak(cfg Config) (*soak, []chaos.Fault, error) {
 	}
 	s.aud = invariant.Attach(s.alloc, cfg.Audit)
 
-	// The whole fault schedule is precomputed — arrivals are
-	// independent of everything the soak does, so a resume recomputes
-	// the schedule and only the cursor travels in the checkpoint.
+	// The whole fault schedule is precomputed: arrivals are
+	// independent of everything the soak does.
 	cfgW := rack.Config()
 	eng, err := chaos.NewEngine(cfg.Seed, chaos.Components{
 		Chips:           rack.NumChips(),
@@ -361,9 +366,10 @@ func buildSoak(cfg Config) (*soak, []chaos.Fault, error) {
 		Trunks:          rack.NumTrunks(),
 	}, cfg.Rates)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return s, eng.Schedule(cfg.Horizon), nil
+	s.faults = eng.Schedule(cfg.Horizon)
+	return s, nil
 }
 
 // place runs tenant placement: a seeded permutation of the non-spare
@@ -389,19 +395,19 @@ func (s *soak) place() {
 // invariant.ErrViolated) — a clean soak on corrupted logic must not
 // look like a clean soak on correct logic.
 func Run(cfg Config) (*Outcome, error) {
-	return RunCheckpointed(cfg, CheckpointOptions{})
+	return RunCheckpointed(cfg, snapshot.Options{})
 }
 
 // run drives the event loop to the horizon (or to an injected stop).
 // It merges the three ordered event streams; ties are broken by kind
 // — repairs land before faults, faults before samples — so the order
-// is total and reproducible.
-func (s *soak) run(faults []chaos.Fault, opts CheckpointOptions) (*Outcome, error) {
+// is total and reproducible. ck checkpoints at each event boundary.
+func (s *soak) run(ck *snapshot.Checkpointer) (*Outcome, error) {
 	for {
 		const inf = unit.Seconds(1e18)
 		ft, rt, st := inf, inf, inf
-		if s.fi < len(faults) {
-			ft = faults[s.fi].Time
+		if s.fi < len(s.faults) {
+			ft = s.faults[s.fi].Time
 		}
 		// Repairs finishing after the horizon are outside the soak:
 		// the clock stops at Horizon, backlog and all.
@@ -419,7 +425,7 @@ func (s *soak) run(faults []chaos.Fault, opts CheckpointOptions) (*Outcome, erro
 			ev := heap.Pop(&s.repairs).(repairEvent)
 			s.completeRepair(ev)
 		case ft <= st:
-			if err := s.applyFault(faults[s.fi]); err != nil {
+			if err := s.applyFault(s.faults[s.fi]); err != nil {
 				return nil, err
 			}
 			s.fi++
@@ -428,11 +434,8 @@ func (s *soak) run(faults []chaos.Fault, opts CheckpointOptions) (*Outcome, erro
 			s.nextSample += s.cfg.SampleEvery
 		}
 		s.events++
-		if err := s.maybeCheckpoint(opts); err != nil {
+		if err := ck.Boundary(s.events, s); err != nil {
 			return nil, err
-		}
-		if opts.StopAfterEvents > 0 && s.events >= opts.StopAfterEvents {
-			return nil, ErrStopped
 		}
 	}
 }

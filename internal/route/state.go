@@ -34,9 +34,7 @@ func (a *Allocator) EncodeState(e *snapshot.Encoder) {
 	s, ok := a.loss.RandState()
 	e.Bool(ok)
 	if ok {
-		for _, w := range s {
-			e.U64(w)
-		}
+		e.RandState(s)
 	}
 
 	e.Int(a.nextID)
@@ -101,11 +99,7 @@ func (a *Allocator) RestoreState(d *snapshot.Decoder) error {
 		return err
 	}
 	if d.Bool() {
-		var s [4]uint64
-		for i := range s {
-			s[i] = d.U64()
-		}
-		a.loss.SetRandState(s)
+		a.loss.SetRandState(d.RandState())
 	}
 
 	a.nextID = d.Int()

@@ -70,9 +70,7 @@ func (s *Reservoir[T]) Items() []T {
 // serialized; the restoring side constructs with the same capacity.
 func (s *Reservoir[T]) EncodeState(e *snapshot.Encoder, enc func(*snapshot.Encoder, T)) {
 	e.U64(s.seen)
-	for _, w := range s.r.State() {
-		e.U64(w)
-	}
+	e.RandState(s.r.State())
 	e.Len(len(s.items))
 	for _, v := range s.items {
 		enc(e, v)
@@ -83,11 +81,7 @@ func (s *Reservoir[T]) EncodeState(e *snapshot.Encoder, enc func(*snapshot.Encod
 // constructed reservoir of the same capacity.
 func (s *Reservoir[T]) RestoreState(d *snapshot.Decoder, dec func(*snapshot.Decoder) T) error {
 	s.seen = d.U64()
-	var st [4]uint64
-	for i := range st {
-		st[i] = d.U64()
-	}
-	s.r.SetState(st)
+	s.r.SetState(d.RandState())
 	n := d.Len()
 	if n > s.capacity {
 		return fmt.Errorf("%w: reservoir snapshot has %d items, capacity %d",
@@ -234,9 +228,7 @@ func (q *Quantile) Query(phi float64) float64 {
 // serialized.
 func (q *Quantile) EncodeState(e *snapshot.Encoder) {
 	e.U64(q.count)
-	for _, w := range q.r.State() {
-		e.U64(w)
-	}
+	e.RandState(q.r.State())
 	e.Len(len(q.levels))
 	for _, level := range q.levels {
 		e.Len(len(level))
@@ -250,11 +242,7 @@ func (q *Quantile) EncodeState(e *snapshot.Encoder) {
 // constructed sketch of the same k.
 func (q *Quantile) RestoreState(d *snapshot.Decoder) error {
 	q.count = d.U64()
-	var st [4]uint64
-	for i := range st {
-		st[i] = d.U64()
-	}
-	q.r.SetState(st)
+	q.r.SetState(d.RandState())
 	n := d.Len()
 	q.levels = q.levels[:0]
 	for h := 0; h < n; h++ {

@@ -57,6 +57,14 @@ func Unit[T ~float64](e *Encoder, v T) { e.F64(float64(v)) }
 // DecodeUnit reads a value written by Unit back into its unit type.
 func DecodeUnit[T ~float64](d *Decoder) T { return T(d.F64()) }
 
+// RandState appends a generator position — the four xoshiro256**
+// words rng.Rand.State returns.
+func (e *Encoder) RandState(s [4]uint64) {
+	for _, w := range s {
+		e.U64(w)
+	}
+}
+
 // Bool appends a bool as one byte.
 func (e *Encoder) Bool(v bool) {
 	if v {
@@ -147,6 +155,14 @@ func (d *Decoder) Int() int { return int(d.I64()) }
 
 // F64 reads a float64.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
+
+// RandState reads a generator position written by Encoder.RandState.
+func (d *Decoder) RandState() (s [4]uint64) {
+	for i := range s {
+		s[i] = d.U64()
+	}
+	return s
+}
 
 // Bool reads a bool. Any byte other than 0 or 1 is corruption.
 func (d *Decoder) Bool() bool {
