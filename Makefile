@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt vet vet-baseline vet-sarif check chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench bench-smoke bench-compare
+.PHONY: all build test race lint fmt vet vet-baseline vet-sarif perfbench-build check chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench bench-smoke bench-compare
 
 all: check
 
@@ -45,6 +45,14 @@ fmt:
 ## vet: run the standard Go vet suite.
 vet:
 	$(GO) vet ./...
+
+## perfbench-build: build and vet the repository benchmark harness.
+## _perfbench is a module of its own (it only replaces lightpath with
+## ../), so the root `go build ./...` never compiles it; this target
+## catches an API change that breaks the benchmark. Offline: the
+## module has no other dependency.
+perfbench-build:
+	cd _perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) build -o /dev/null ./... && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./...
 
 ## chaos-smoke: run the fault-injection experiment with the pinned seed
 ## — once parallel, once sequential — and diff both CSVs against the
@@ -169,4 +177,4 @@ bench-compare:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/... | $(GO) run ./cmd/lightpath-bench -compare BENCH_baseline.json -ns-tol $(NS_TOL) -allocs-tol $(ALLOCS_TOL)
 
 ## check: everything CI runs, in the same order.
-check: build lint race chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench-smoke
+check: build lint perfbench-build race chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench-smoke

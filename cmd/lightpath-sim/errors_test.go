@@ -76,7 +76,8 @@ func TestErrorTaxonomyFromTheTop(t *testing.T) {
 					{At: 0.1, Fail: []string{"l"}},
 					{At: 1 << 20, Restore: []string{"l"}},
 				}
-				_, err := netsim.RunEvents(flows, caps, events, stallPolicy)
+				var sim netsim.Sim[string]
+				_, err := sim.RunEvents(flows, caps, events, stallPolicy)
 				return err
 			},
 		},
@@ -90,7 +91,8 @@ func TestErrorTaxonomyFromTheTop(t *testing.T) {
 				events := []netsim.Event[string]{{At: 0.1, Fail: []string{"l"}}}
 				pol := stallPolicy
 				pol.MaxRetries = 1 << 30
-				_, err := netsim.RunEvents(flows, caps, events, pol)
+				var sim netsim.Sim[string]
+				_, err := sim.RunEvents(flows, caps, events, pol)
 				return err
 			},
 		},
@@ -99,7 +101,7 @@ func TestErrorTaxonomyFromTheTop(t *testing.T) {
 			sentinel: ctrl.ErrOverloaded,
 			context:  "queue",
 			trigger: func(t *testing.T) error {
-				s, err := ctrl.NewServer(ctrl.Config{Seed: 1, QueueCap: 2})
+				s, err := ctrl.NewServer(ctrl.Config{Seed: 1, QueueCap: 2, Audit: invariant.Paranoid})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +119,7 @@ func TestErrorTaxonomyFromTheTop(t *testing.T) {
 			sentinel: ctrl.ErrDeadlineExceeded,
 			context:  "exceeds deadline",
 			trigger: func(t *testing.T) error {
-				s, err := ctrl.NewServer(ctrl.Config{Seed: 1})
+				s, err := ctrl.NewServer(ctrl.Config{Seed: 1, Audit: invariant.Paranoid})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,6 +140,7 @@ func TestErrorTaxonomyFromTheTop(t *testing.T) {
 				s, err := ctrl.NewServer(ctrl.Config{
 					Seed:    1,
 					Breaker: ctrl.BreakerConfig{FailThreshold: 3, Cooldown: unit.Millisecond, HalfOpenProbes: 1},
+					Audit:   invariant.Paranoid,
 				})
 				if err != nil {
 					t.Fatal(err)

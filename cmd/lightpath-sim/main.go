@@ -98,7 +98,13 @@ func run(args []string, out printer) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	engine.SetParallel(*parallel)
+	// -parallel=false is the engine's one-worker sequential reference
+	// mode; true restores the default GOMAXPROCS pool.
+	if *parallel {
+		engine.SetWorkers(0)
+	} else {
+		engine.SetWorkers(1)
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

@@ -91,8 +91,16 @@ func TestRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
 	}
+	args := []string{"all", "-samples", "2000", "-rails", "4", "-servers", "16", "-waves", "4", "-trials", "2"}
+	if raceEnabled {
+		// Memory budget, not a blind spot: under the race detector the
+		// default 16M-element buffer drives chaos past 7.5 GB, so pin
+		// the size chaos-smoke uses. The same chaos code runs
+		// Paranoid-audited under -race in internal/experiments.
+		args = append(args, "-n", "262144")
+	}
 	var buf bytes.Buffer
-	if err := run([]string{"all", "-samples", "2000", "-rails", "4", "-servers", "16", "-waves", "4", "-trials", "2"}, &buf); err != nil {
+	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, marker := range []string{"Figure 3a", "Table 1", "Figure 7", "Ablation", "Controller load"} {

@@ -78,20 +78,6 @@ func (p *Placer) Place(name string, shape torus.Shape) (*torus.Slice, error) {
 	}
 }
 
-// Remove releases a previously placed slice.
-func (p *Placer) Remove(s *torus.Slice) {
-	for i, placed := range p.slices {
-		if placed == s {
-			for _, chip := range s.Chips(p.t) {
-				p.occupied[chip] = false
-			}
-			p.slices = append(p.slices[:i], p.slices[i+1:]...)
-			return
-		}
-	}
-	panic(fmt.Sprintf("alloc: remove of unplaced slice %q", s.Name))
-}
-
 // Allocation freezes the current placement into a validated
 // torus.Allocation.
 func (p *Placer) Allocation() (*torus.Allocation, error) {
@@ -118,6 +104,9 @@ func (p *Placer) allFree(s *torus.Slice) bool {
 
 // TenantShapes is the catalog of slice shapes a TPUv4-style rack
 // leases: axis extents from {1, 2, 4} with at least 2 chips.
+//
+// RandomTenants draws from it; it is public so callers can enumerate
+// the catalog.
 func TenantShapes(t *torus.Torus) []torus.Shape {
 	options := func(d int) []int {
 		if t.Extent(d) >= 4 {

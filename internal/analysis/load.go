@@ -118,6 +118,9 @@ func (l *Loader) Load(path string) (*Package, error) {
 // package with the given import path. The path does not have to match
 // the directory: fixture tests use this to check testdata sources under
 // a synthetic in-module path.
+//
+// Load builds on it; it is public so fixture tests load testdata
+// directories under an import path of their choice.
 func (l *Loader) LoadDirAs(dir, path string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil

@@ -10,6 +10,7 @@ func a2aFill(i, j, el int) float64 {
 }
 
 func TestAllToAllCorrect(t *testing.T) {
+	var ip Interp
 	for _, p := range []int{2, 3, 4, 8, 16} {
 		for _, n := range []int{p, 4 * p, 16 * p} {
 			chips := ringOf(p)
@@ -33,7 +34,7 @@ func TestAllToAllCorrect(t *testing.T) {
 					}
 				}
 			}
-			if err := st.Execute(sched); err != nil {
+			if err := ip.Execute(st, sched); err != nil {
 				t.Fatalf("p=%d n=%d execute: %v", p, n, err)
 			}
 			if err := CheckAllToAll(st, chips, n, a2aFill); err != nil {
@@ -96,6 +97,7 @@ func TestAllToAllEachChipSendsOncePerStep(t *testing.T) {
 // off-diagonal blocks equals the multiset of sent off-diagonal
 // blocks, for arbitrary inputs and geometries.
 func TestAllToAllConservation(t *testing.T) {
+	var ip Interp
 	f := func(pRaw, nRaw uint8, seed uint64) bool {
 		p := int(pRaw%6) + 2
 		n := (int(nRaw%16) + 1) * p
@@ -120,7 +122,7 @@ func TestAllToAllConservation(t *testing.T) {
 				}
 			}
 		}
-		if err := st.Execute(sched); err != nil {
+		if err := ip.Execute(st, sched); err != nil {
 			return false
 		}
 		var recvSum float64

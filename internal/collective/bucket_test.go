@@ -28,6 +28,7 @@ func TestActiveDims(t *testing.T) {
 }
 
 func TestBucketReduceScatterCorrect(t *testing.T) {
+	var ip Interp
 	tor, s := slice3()
 	n := 96
 	sched, owned, err := BucketReduceScatter("rs", tor, s, []int{0, 1}, n, 4, BucketOptions{})
@@ -40,8 +41,8 @@ func TestBucketReduceScatterCorrect(t *testing.T) {
 	}
 	chips := s.Chips(tor)
 	st := NewState(chips, n, fillRandom(5))
-	ref := ReduceAcross(st, chips, n)
-	if err := st.Execute(sched); err != nil {
+	ref := ReduceAcrossInto(nil, st, chips, n)
+	if err := ip.Execute(st, sched); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckReduceScatter(st, owned, ref); err != nil {
@@ -56,6 +57,7 @@ func TestBucketReduceScatterCorrect(t *testing.T) {
 }
 
 func TestBucketAllReduceCorrect(t *testing.T) {
+	var ip Interp
 	tor, s := slice3()
 	n := 64
 	sched, err := BucketAllReduce("ar", tor, s, []int{0, 1}, n, 4, BucketOptions{})
@@ -68,8 +70,8 @@ func TestBucketAllReduceCorrect(t *testing.T) {
 	}
 	chips := s.Chips(tor)
 	st := NewState(chips, n, fillRandom(13))
-	ref := ReduceAcross(st, chips, n)
-	if err := st.Execute(sched); err != nil {
+	ref := ReduceAcrossInto(nil, st, chips, n)
+	if err := ip.Execute(st, sched); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckAllReduce(st, chips, ref); err != nil {
@@ -78,6 +80,7 @@ func TestBucketAllReduceCorrect(t *testing.T) {
 }
 
 func TestBucketAllReduce3D(t *testing.T) {
+	var ip Interp
 	// A full rack cube: 4x4x4, all three dimensions active.
 	tor := torus.New(torus.Shape{4, 4, 4})
 	s := &torus.Slice{Name: "cube", Origin: torus.Coord{0, 0, 0}, Shape: torus.Shape{4, 4, 4}}
@@ -88,8 +91,8 @@ func TestBucketAllReduce3D(t *testing.T) {
 	}
 	chips := s.Chips(tor)
 	st := NewState(chips, n, fillRandom(17))
-	ref := ReduceAcross(st, chips, n)
-	if err := st.Execute(sched); err != nil {
+	ref := ReduceAcrossInto(nil, st, chips, n)
+	if err := ip.Execute(st, sched); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckAllReduce(st, chips, ref); err != nil {
@@ -168,6 +171,7 @@ func TestBucketTransferDims(t *testing.T) {
 }
 
 func TestSimultaneousBucketAllReduceCorrect(t *testing.T) {
+	var ip Interp
 	tor, s := slice3()
 	n := 96
 	sched, err := SimultaneousBucketAllReduce("sim", tor, s, n, 4, BucketOptions{})
@@ -176,8 +180,8 @@ func TestSimultaneousBucketAllReduceCorrect(t *testing.T) {
 	}
 	chips := s.Chips(tor)
 	st := NewState(chips, n, fillRandom(23))
-	ref := ReduceAcross(st, chips, n)
-	if err := st.Execute(sched); err != nil {
+	ref := ReduceAcrossInto(nil, st, chips, n)
+	if err := ip.Execute(st, sched); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckAllReduce(st, chips, ref); err != nil {
@@ -211,6 +215,7 @@ func TestSimultaneousBucketNoActiveDims(t *testing.T) {
 }
 
 func TestSnakeRingAllReduceCorrect(t *testing.T) {
+	var ip Interp
 	tor, s := slice1()
 	n := 80
 	sched, err := SnakeRingAllReduce("snake", tor, s, n, 4, BucketOptions{MarkReconfig: true})
@@ -226,8 +231,8 @@ func TestSnakeRingAllReduceCorrect(t *testing.T) {
 	}
 	chips := s.Chips(tor)
 	st := NewState(chips, n, fillRandom(31))
-	ref := ReduceAcross(st, chips, n)
-	if err := st.Execute(sched); err != nil {
+	ref := ReduceAcrossInto(nil, st, chips, n)
+	if err := ip.Execute(st, sched); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckAllReduce(st, chips, ref); err != nil {
@@ -236,6 +241,7 @@ func TestSnakeRingAllReduceCorrect(t *testing.T) {
 }
 
 func TestSnakeRingReduceScatterCorrect(t *testing.T) {
+	var ip Interp
 	tor, s := slice1()
 	n := 64
 	sched, owned, err := SnakeRingReduceScatter("snake-rs", tor, s, n, 4, BucketOptions{})
@@ -247,8 +253,8 @@ func TestSnakeRingReduceScatterCorrect(t *testing.T) {
 	}
 	chips := s.Chips(tor)
 	st := NewState(chips, n, fillRandom(37))
-	ref := ReduceAcross(st, chips, n)
-	if err := st.Execute(sched); err != nil {
+	ref := ReduceAcrossInto(nil, st, chips, n)
+	if err := ip.Execute(st, sched); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckReduceScatter(st, owned, ref); err != nil {
@@ -267,6 +273,7 @@ func TestSnakeRingUnavailable(t *testing.T) {
 // Property test: bucket AllReduce is correct for random sub-slices and
 // buffer sizes, including non-divisible ones.
 func TestBucketAllReduceProperty(t *testing.T) {
+	var ip Interp
 	tor := torus.New(torus.Shape{4, 4, 4})
 	f := func(ox, oy, oz, sx, sy, nRaw uint8, seed uint64) bool {
 		// Extents from {1, 2, 4} to stay realizable.
@@ -284,8 +291,8 @@ func TestBucketAllReduceProperty(t *testing.T) {
 		}
 		chips := s.Chips(tor)
 		st := NewState(chips, n, fillRandom(seed))
-		ref := ReduceAcross(st, chips, n)
-		if err := st.Execute(sched); err != nil {
+		ref := ReduceAcrossInto(nil, st, chips, n)
+		if err := ip.Execute(st, sched); err != nil {
 			return false
 		}
 		return CheckAllReduce(st, chips, ref) == nil

@@ -3,7 +3,6 @@ package collective
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file is the schedule interpreter: it executes a Schedule
@@ -17,6 +16,10 @@ type State map[int][]float64
 
 // NewState allocates an n-element buffer per chip, filled by fill
 // (which receives the chip ID and element index).
+//
+// Public so schedule proofs in other packages (failure) build
+// interpreter inputs the way this package's own do; the fault
+// campaigns fill pooled buffers instead.
 func NewState(chips []int, n int, fill func(chip, i int) float64) State {
 	st := make(State, len(chips))
 	for _, c := range chips {
@@ -42,19 +45,6 @@ func (st State) Clone() State {
 	return out
 }
 
-// Execute applies the schedule's steps in order. Within a step, all
-// payloads are read from the pre-step state before any write is
-// applied, so concurrent transfers behave as they would on real
-// hardware where sends and receives of a step overlap in time.
-//
-// Execute is a convenience shim over a fresh Interp; callers running
-// many schedules (the chaos trials) hold an Interp so the per-step
-// payload staging is reused instead of reallocated.
-func (st State) Execute(s *Schedule) error {
-	var ip Interp
-	return ip.Execute(st, s)
-}
-
 // delivery is one staged transfer: the payload has been read from the
 // pre-step state and waits to be applied.
 type delivery struct {
@@ -73,8 +63,14 @@ type Interp struct {
 	payloads   []float64
 }
 
-// Execute validates the schedule and applies its steps in order, like
-// State.Execute, reusing the interpreter's scratch.
+// Execute validates the schedule and applies its steps in order.
+// Within a step, all payloads are read from the pre-step state before
+// any write is applied, so concurrent transfers behave as they would
+// on real hardware where sends and receives of a step overlap in time.
+// It is the whole-schedule entry point the interpreter's correctness
+// proofs run; the fault campaigns step through ExecuteStep instead.
+//
+// Public so the failure package's proofs run it too.
 func (ip *Interp) Execute(st State, s *Schedule) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -170,15 +166,11 @@ func (ip *Interp) stepConflicts(st State, step *Step) bool {
 	return false
 }
 
-// ReduceAcross returns the element-wise sum of the chips' initial
-// buffers — the reference result of an AllReduce with summation.
-func ReduceAcross(st State, chips []int, n int) []float64 {
-	return ReduceAcrossInto(nil, st, chips, n)
-}
-
-// ReduceAcrossInto is ReduceAcross into a caller-owned slice, grown as
-// needed and returned — the fault campaigns call it per trial and keep
-// the reference buffer out of their steady-state allocation count.
+// ReduceAcrossInto returns the element-wise sum of the chips' initial
+// buffers — the reference result of an AllReduce with summation —
+// written into dst, which is grown as needed and returned. The fault
+// campaigns call it per trial and keep the reference buffer out of
+// their steady-state allocation count.
 func ReduceAcrossInto(dst []float64, st State, chips []int, n int) []float64 {
 	if cap(dst) < n {
 		dst = make([]float64, n)
@@ -208,34 +200,6 @@ func CheckAllReduce(st State, chips []int, ref []float64) error {
 			if v != ref[i] && !approxEqual(v, ref[i]) {
 				return fmt.Errorf("collective: chip %d element %d = %v, want %v", c, i, v, ref[i])
 			}
-		}
-	}
-	return nil
-}
-
-// CheckReduceScatter verifies each chip's owned range holds the
-// reference reduction, that owned ranges are disjoint, and that they
-// jointly cover [0, n).
-func CheckReduceScatter(st State, owned map[int]Range, ref []float64) error {
-	covered := make([]int, len(ref))
-	chips := make([]int, 0, len(owned))
-	for c := range owned {
-		chips = append(chips, c)
-	}
-	sort.Ints(chips)
-	for _, c := range chips {
-		r := owned[c]
-		buf := st[c]
-		for i := r.Lo; i < r.Hi; i++ {
-			if !approxEqual(buf[i], ref[i]) {
-				return fmt.Errorf("collective: chip %d owned element %d = %v, want %v", c, i, buf[i], ref[i])
-			}
-			covered[i]++
-		}
-	}
-	for i, n := range covered {
-		if n != 1 {
-			return fmt.Errorf("collective: element %d covered %d times, want exactly once", i, n)
 		}
 	}
 	return nil

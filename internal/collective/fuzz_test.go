@@ -10,6 +10,7 @@ import (
 // FuzzRingAllReduce checks the ring AllReduce computes exact sums for
 // arbitrary geometry.
 func FuzzRingAllReduce(f *testing.F) {
+	var ip Interp
 	f.Add(uint8(4), uint16(64), uint64(1))
 	f.Add(uint8(2), uint16(1), uint64(2))
 	f.Add(uint8(8), uint16(1000), uint64(3))
@@ -28,8 +29,8 @@ func FuzzRingAllReduce(f *testing.F) {
 			t.Fatalf("validate: %v", err)
 		}
 		st := NewState(ring, n, fillRandom(seed))
-		ref := ReduceAcross(st, ring, n)
-		if err := st.Execute(sched); err != nil {
+		ref := ReduceAcrossInto(nil, st, ring, n)
+		if err := ip.Execute(st, sched); err != nil {
 			t.Fatalf("execute: %v", err)
 		}
 		if err := CheckAllReduce(st, ring, ref); err != nil {
@@ -67,6 +68,7 @@ func FuzzRangeSub(f *testing.F) {
 // FuzzAllToAll checks the exchange for arbitrary chip counts and
 // block sizes.
 func FuzzAllToAll(f *testing.F) {
+	var ip Interp
 	f.Add(uint8(4), uint8(3), uint64(1))
 	f.Add(uint8(2), uint8(1), uint64(9))
 	f.Fuzz(func(t *testing.T, pRaw, blocksRaw uint8, seed uint64) {
@@ -94,7 +96,7 @@ func FuzzAllToAll(f *testing.F) {
 				}
 			}
 		}
-		if err := st.Execute(sched); err != nil {
+		if err := ip.Execute(st, sched); err != nil {
 			t.Fatalf("execute: %v", err)
 		}
 		if err := CheckAllToAll(st, chips, n, fill); err != nil {

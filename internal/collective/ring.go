@@ -125,6 +125,9 @@ func RingReduceScatter(name string, ring []int, n int, elemBytes unit.Bytes, dim
 // cycle, where member i initially owns chunk (i+ownership.Offset) mod p
 // of ownership.Parent. After the schedule every member holds the whole
 // parent range.
+//
+// Public beside RingReduceScatter: it is the gather half
+// RingAllReduce composes, and the ring proofs verify it alone.
 func RingAllGather(name string, ring []int, own RingOwnership, n int, elemBytes unit.Bytes, dim DimResolver) (*Schedule, error) {
 	if err := validateRing(ring); err != nil {
 		return nil, err

@@ -24,6 +24,7 @@ func ringOf(p int) []int {
 }
 
 func TestRingReduceScatterCorrect(t *testing.T) {
+	var ip Interp
 	for _, p := range []int{2, 3, 4, 8} {
 		for _, n := range []int{p, 16, 17, 100} {
 			ring := ringOf(p)
@@ -35,8 +36,8 @@ func TestRingReduceScatterCorrect(t *testing.T) {
 				t.Fatalf("p=%d: steps = %d, want %d", p, sched.NumSteps(), p-1)
 			}
 			st := NewState(ring, n, fillRandom(7))
-			ref := ReduceAcross(st, ring, n)
-			if err := st.Execute(sched); err != nil {
+			ref := ReduceAcrossInto(nil, st, ring, n)
+			if err := ip.Execute(st, sched); err != nil {
 				t.Fatalf("p=%d n=%d execute: %v", p, n, err)
 			}
 			owned := map[int]Range{}
@@ -51,6 +52,7 @@ func TestRingReduceScatterCorrect(t *testing.T) {
 }
 
 func TestRingAllGatherCorrect(t *testing.T) {
+	var ip Interp
 	for _, p := range []int{2, 4, 5} {
 		n := 40
 		ring := ringOf(p)
@@ -70,7 +72,7 @@ func TestRingAllGatherCorrect(t *testing.T) {
 				want[j] = float64(i + 1)
 			}
 		}
-		if err := st.Execute(sched); err != nil {
+		if err := ip.Execute(st, sched); err != nil {
 			t.Fatal(err)
 		}
 		if err := CheckAllReduce(st, ring, want); err != nil {
@@ -80,6 +82,7 @@ func TestRingAllGatherCorrect(t *testing.T) {
 }
 
 func TestRingAllReduceCorrect(t *testing.T) {
+	var ip Interp
 	for _, p := range []int{2, 3, 4, 8} {
 		n := 50
 		ring := ringOf(p)
@@ -91,8 +94,8 @@ func TestRingAllReduceCorrect(t *testing.T) {
 			t.Fatalf("p=%d: steps = %d, want %d", p, sched.NumSteps(), 2*(p-1))
 		}
 		st := NewState(ring, n, fillRandom(11))
-		ref := ReduceAcross(st, ring, n)
-		if err := st.Execute(sched); err != nil {
+		ref := ReduceAcrossInto(nil, st, ring, n)
+		if err := ip.Execute(st, sched); err != nil {
 			t.Fatal(err)
 		}
 		if err := CheckAllReduce(st, ring, ref); err != nil {
@@ -104,6 +107,7 @@ func TestRingAllReduceCorrect(t *testing.T) {
 // Property test (testing/quick): ring AllReduce computes the exact sum
 // for arbitrary ring sizes, buffer lengths and inputs.
 func TestRingAllReduceProperty(t *testing.T) {
+	var ip Interp
 	f := func(pRaw, nRaw uint8, seed uint64) bool {
 		p := int(pRaw%7) + 2  // 2..8
 		n := int(nRaw%64) + 1 // 1..64
@@ -113,8 +117,8 @@ func TestRingAllReduceProperty(t *testing.T) {
 			return false
 		}
 		st := NewState(ring, n, fillRandom(seed))
-		ref := ReduceAcross(st, ring, n)
-		if err := st.Execute(sched); err != nil {
+		ref := ReduceAcrossInto(nil, st, ring, n)
+		if err := ip.Execute(st, sched); err != nil {
 			return false
 		}
 		return CheckAllReduce(st, ring, ref) == nil
@@ -187,6 +191,7 @@ func TestRingStepPayloads(t *testing.T) {
 }
 
 func TestSmallBufferYieldsEmptyChunks(t *testing.T) {
+	var ip Interp
 	// n < p: some chunks are empty; schedule must still be correct.
 	p, n := 8, 3
 	ring := ringOf(p)
@@ -195,8 +200,8 @@ func TestSmallBufferYieldsEmptyChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := NewState(ring, n, fillRandom(3))
-	ref := ReduceAcross(st, ring, n)
-	if err := st.Execute(sched); err != nil {
+	ref := ReduceAcrossInto(nil, st, ring, n)
+	if err := ip.Execute(st, sched); err != nil {
 		t.Fatal(err)
 	}
 	owned := map[int]Range{}

@@ -47,6 +47,9 @@ func (r Range) Sub(j, p int) Range {
 }
 
 // Overlaps reports whether two ranges share any element.
+//
+// Schedule.Validate uses it to reject order-dependent steps; it is
+// public as part of Range's interval algebra beside Sub and Len.
 func (r Range) Overlaps(o Range) bool {
 	return r.Lo < o.Hi && o.Lo < r.Hi
 }
@@ -170,25 +173,6 @@ func (s *Schedule) TotalBytes() unit.Bytes {
 		}
 	}
 	return total
-}
-
-// MaxBytesPerChipStep returns, for each step, the largest payload any
-// single chip sends in that step — the quantity the alpha-beta model
-// divides by per-chip bandwidth.
-func (s *Schedule) MaxBytesPerChipStep() []unit.Bytes {
-	out := make([]unit.Bytes, len(s.Steps))
-	for i, st := range s.Steps {
-		perChip := map[int]unit.Bytes{}
-		for _, tr := range st.Transfers {
-			perChip[tr.From] += tr.Bytes(s.ElemBytes)
-		}
-		for _, b := range perChip {
-			if b > out[i] {
-				out[i] = b
-			}
-		}
-	}
-	return out
 }
 
 // Validate checks structural sanity: non-negative ranges inside

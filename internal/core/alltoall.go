@@ -26,7 +26,9 @@ func (f *Fabric) PlanAllToAll(a *torus.Allocation, si int, perChip unit.Bytes) (
 		return nil, fmt.Errorf("core: slice %q has %d chips; all-to-all needs 2+", s.Name, len(chips))
 	}
 	const elemBytes = 4
-	n := int(perChip / elemBytes)
+	// At least one element per chip, then uniform blocks: round up to
+	// a multiple of the chip count.
+	n := max(int(perChip/elemBytes), len(chips))
 	if rem := n % len(chips); rem != 0 {
 		n += len(chips) - rem
 	}

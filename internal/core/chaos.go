@@ -395,7 +395,7 @@ func (f *Fabric) stepOverhead(s *collective.Schedule, i int) unit.Seconds {
 }
 
 // stepDataTime is the data phase of one step on dedicated circuits:
-// the largest per-chip payload at circuit bandwidth (the ExecuteOptical
+// the largest per-chip payload at circuit bandwidth (the Executor.Optical
 // model).
 func (f *Fabric) stepDataTime(s *collective.Schedule, i int, circuitBW unit.BitRate) unit.Seconds {
 	if len(f.stepChipBytes) < f.torus.Size() {

@@ -290,6 +290,19 @@ func TestPlanAllToAll(t *testing.T) {
 	if small.Speedup() >= 1 {
 		t.Fatalf("small speedup = %v, want < 1", small.Speedup())
 	}
+	// A buffer below one element per chip is floored to one element
+	// per chip rather than planning an empty exchange.
+	tiny, err := f.PlanAllToAll(a, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor, err := f.PlanAllToAll(a, 2, 16*4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiny.Schedule.N != floor.Schedule.N {
+		t.Fatalf("sub-element buffer planned %d elements, want the one-per-chip %d", tiny.Schedule.N, floor.Schedule.N)
+	}
 }
 
 func TestPlanAllToAllValidation(t *testing.T) {

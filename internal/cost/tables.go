@@ -90,6 +90,9 @@ type Table2Stage struct {
 }
 
 // BetaRatio returns ElecBeta/OptBeta for the stage.
+//
+// Table 2's rendering uses it; it is public because the paper-
+// reproduction tests assert it.
 func (s Table2Stage) BetaRatio() float64 {
 	if s.OptBeta == 0 {
 		return 0
@@ -103,6 +106,9 @@ type Table2 struct {
 }
 
 // TotalElecBeta sums the stages' electrical beta costs.
+//
+// Table 2's rendering uses it; it is public because the paper-
+// reproduction tests assert it.
 func (t Table2) TotalElecBeta() unit.Seconds {
 	var total unit.Seconds
 	for _, s := range t.Stages {
@@ -112,6 +118,9 @@ func (t Table2) TotalElecBeta() unit.Seconds {
 }
 
 // TotalOptBeta sums the stages' optical beta costs.
+//
+// Table 2's rendering uses it; it is public because the paper-
+// reproduction tests assert it.
 func (t Table2) TotalOptBeta() unit.Seconds {
 	var total unit.Seconds
 	for _, s := range t.Stages {

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"lightpath/internal/chaos"
-	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
 
@@ -140,33 +139,6 @@ func (h *Handler) ServeConn(conn net.Conn) error {
 	}
 }
 
-// frameIO is one connection's reusable wire-I/O state: a frame read
-// buffer, a payload encoder, and a frame write buffer. The zero value
-// is ready; each buffer settles at the largest frame the connection
-// has seen and is reused thereafter.
-type frameIO struct {
-	rbuf  []byte
-	enc   snapshot.Encoder
-	frame []byte
-}
-
-// read returns the next frame's payload, which aliases the read buffer
-// and is valid until the next read call.
-func (f *frameIO) read(r io.Reader) ([]byte, error) {
-	payload, buf, err := readFrameReuse(r, f.rbuf)
-	f.rbuf = buf
-	return payload, err
-}
-
-// write frames the encoder's current payload and writes it in one call.
-func (f *frameIO) write(w io.Writer) error {
-	f.frame = AppendFrame(f.frame[:0], f.enc.Bytes())
-	if _, err := w.Write(f.frame); err != nil {
-		return fmt.Errorf("ctrl: write frame: %w", err)
-	}
-	return nil
-}
-
 // Serve accepts connections until the listener closes, answering each
 // connection on its own goroutine. It returns nil when the listener
 // shuts down.
@@ -239,6 +211,9 @@ func (c *Client) Establish(a, b, width int, deadline unit.Seconds) (Response, er
 }
 
 // Release tears down a circuit by ID.
+//
+// Public to complete the wire protocol's client: every request Op has
+// a Client method.
 func (c *Client) Release(circuit int) error {
 	resp, err := c.Call(Request{Op: OpRelease, Circuit: circuit})
 	if err != nil {
@@ -249,6 +224,9 @@ func (c *Client) Release(circuit int) error {
 
 // Reroute asks the controller to move a circuit onto surviving
 // resources, degrading width if it must.
+//
+// Public to complete the wire protocol's client: every request Op has
+// a Client method.
 func (c *Client) Reroute(circuit int, deadline unit.Seconds) (Response, error) {
 	resp, err := c.Call(Request{Op: OpReroute, Circuit: circuit, Deadline: deadline})
 	if err != nil {

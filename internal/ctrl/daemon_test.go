@@ -59,7 +59,7 @@ func newTestHandler(t *testing.T, cfg Config, tick unit.Seconds) (*Handler, func
 // TestDaemonEndToEnd drives the full RPC surface through a real TCP
 // connection: establish, health, reroute, release.
 func TestDaemonEndToEnd(t *testing.T) {
-	_, dial := newTestHandler(t, Config{Seed: 21}, unit.Microsecond)
+	_, dial := newTestHandler(t, Config{Seed: 21, Audit: invariant.Paranoid}, unit.Microsecond)
 	c := dial()
 
 	est, err := c.Establish(0, 9, 2, unit.Millisecond)
@@ -98,7 +98,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 // covers every server touch; functionally it checks conservation:
 // every request is answered and the final health tally balances.
 func TestDaemonConcurrentClients(t *testing.T) {
-	h, dial := newTestHandler(t, Config{Seed: 22, QueueCap: 4096}, 500*unit.Nanosecond)
+	h, dial := newTestHandler(t, Config{Seed: 22, Audit: invariant.Paranoid, QueueCap: 4096}, 500*unit.Nanosecond)
 
 	const clients, perClient = 8, 50
 	var wg sync.WaitGroup
@@ -148,7 +148,7 @@ func TestDaemonConcurrentClients(t *testing.T) {
 // checks the blast radius: that connection dies, the daemon keeps
 // serving everyone else.
 func TestDaemonBadFrameCostsOneConn(t *testing.T) {
-	_, dial := newTestHandler(t, Config{Seed: 23}, unit.Microsecond)
+	_, dial := newTestHandler(t, Config{Seed: 23, Audit: invariant.Paranoid}, unit.Microsecond)
 
 	good := dial()
 	if _, err := good.Establish(1, 30, 1, 0); err != nil {
@@ -184,7 +184,7 @@ func TestDaemonBadFrameCostsOneConn(t *testing.T) {
 // submitted request lands tick seconds after the previous one, so the
 // virtual clock is a pure function of the request count.
 func TestHandlerTickAdvancesClock(t *testing.T) {
-	s, err := NewServer(Config{Seed: 24})
+	s, err := NewServer(Config{Seed: 24, Audit: invariant.Paranoid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestHandlerTickAdvancesClock(t *testing.T) {
 // snapshot exists after the configured number of requests and restores
 // to the handler's exact state.
 func TestHandlerPeriodicCheckpoint(t *testing.T) {
-	cfg := Config{Seed: 25}
+	cfg := Config{Seed: 25, Audit: invariant.Paranoid}
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -29,10 +29,13 @@ const checkpointVersion = 2
 // checkpoint driver's snapshot.ErrStopped.
 var ErrStopped = snapshot.ErrStopped
 
-// RunCheckpointed executes the campaign like Run, additionally
-// checkpointing through opts: every opts.EveryEvents event boundaries
+// RunCheckpointed executes the campaign to completion. The returned
+// error is non-nil when a fault cannot be applied or the invariant
+// auditor found violations — robust serving on corrupted state must
+// not look like robust serving on correct state. With a non-empty
+// opts.Path it checkpoints every opts.EveryEvents event boundaries
 // (default 4096), and at the StopAfterEvents boundary, where it
-// returns ErrStopped.
+// returns ErrStopped; the zero Options runs without checkpoints.
 func RunCheckpointed(cfg Config, opts snapshot.Options) (*Result, error) {
 	return runCampaign(cfg, opts, false)
 }

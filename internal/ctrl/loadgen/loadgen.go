@@ -114,7 +114,7 @@ type Result struct {
 	Horizon unit.Seconds
 	Events  uint64
 	// Violations is the invariant auditor's violation count (must be
-	// zero; Run also returns an error when it is not).
+	// zero; RunCheckpointed also returns an error when it is not).
 	Violations int
 	// CacheHits and CacheMisses are the allocator's route-plan cache
 	// counters at campaign end.
@@ -327,14 +327,6 @@ func (c *campaign) push(ev event) {
 	ev.seq = c.seq
 	c.seq++
 	c.events.push(ev)
-}
-
-// Run executes the campaign to completion. The returned error is
-// non-nil when a fault cannot be applied or the invariant auditor
-// found violations — robust serving on corrupted state must not look
-// like robust serving on correct state.
-func Run(cfg Config) (*Result, error) {
-	return RunCheckpointed(cfg, snapshot.Options{})
 }
 
 // run drains the event heap; ck checkpoints at each event boundary.

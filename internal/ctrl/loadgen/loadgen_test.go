@@ -48,12 +48,12 @@ func smallConfig(seed uint64) Config {
 // count included.
 func TestRunDeterministic(t *testing.T) {
 	t.Cleanup(invariant.ResetGlobal)
-	a, err := Run(smallConfig(42))
+	a, err := RunCheckpointed(smallConfig(42), snapshot.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	invariant.ResetGlobal()
-	b, err := Run(smallConfig(42))
+	b, err := RunCheckpointed(smallConfig(42), snapshot.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestRunConservesRequests(t *testing.T) {
 	t.Cleanup(invariant.ResetGlobal)
 	cfg := smallConfig(7)
-	r, err := Run(cfg)
+	r, err := RunCheckpointed(cfg, snapshot.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestRunConservesRequests(t *testing.T) {
 func TestKillResumeAnyBoundary(t *testing.T) {
 	t.Cleanup(invariant.ResetGlobal)
 	cfg := smallConfig(1234)
-	want, err := Run(cfg)
+	want, err := RunCheckpointed(cfg, snapshot.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,11 @@ import (
 	"lightpath/internal/wafer"
 )
 
-// Config parameterizes a controller. The zero value of every field
-// gets a sensible default from withDefaults, so Config{Seed: s} is a
-// runnable controller.
+// Config parameterizes a controller. The zero value of every sizing
+// and timing field gets a sensible default from withDefaults, so
+// Config{Seed: s} is a runnable controller. Audit is the exception:
+// its zero value, invariant.Off, means no auditing, and only
+// DefaultConfig carries the Sampled default.
 type Config struct {
 	// Seed drives the allocator's stochastic stitch-loss stream. Two
 	// controllers with the same Config are bit-for-bit identical.
@@ -33,7 +35,8 @@ type Config struct {
 	EstablishService, ReleaseService, RerouteService unit.Seconds
 	// Breaker tunes the per-region circuit breakers.
 	Breaker BreakerConfig
-	// Audit selects the invariant auditor's mode (default Sampled).
+	// Audit selects the invariant auditor's mode. The zero value is
+	// invariant.Off; DefaultConfig sets Sampled.
 	Audit invariant.Mode
 }
 
@@ -53,7 +56,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// withDefaults fills zero fields from DefaultConfig.
+// withDefaults fills zero sizing and timing fields from DefaultConfig;
+// Audit is taken as given.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.Wafers <= 0 {
@@ -75,9 +79,6 @@ func (c Config) withDefaults() Config {
 		c.RerouteService = d.RerouteService
 	}
 	c.Breaker = c.Breaker.withDefaults()
-	if c.Audit == 0 {
-		c.Audit = d.Audit
-	}
 	return c
 }
 
@@ -191,10 +192,6 @@ func (s *Server) BreakerTrips() int {
 	}
 	return total
 }
-
-// QueueDepth returns the admitted-but-unfinished backlog as of the
-// virtual clock.
-func (s *Server) QueueDepth() int { return len(s.pending) }
 
 // AdvanceTo moves the virtual clock forward to t (never backward) and
 // retires completed work from the backlog.

@@ -57,6 +57,31 @@ func TestServerEstablishReleaseReroute(t *testing.T) {
 	}
 }
 
+// TestServerAuditOffRunsNoAudits pins the audit mode's zero value:
+// invariant.Off means no auditing at all, not the Sampled default
+// DefaultConfig carries.
+func TestServerAuditOffRunsNoAudits(t *testing.T) {
+	s, err := NewServer(Config{Seed: 7, Audit: invariant.Off})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := unit.Seconds(0)
+	for i := 0; i < 4*invariant.DefaultStride; i++ {
+		est := submit(s, Request{Op: OpEstablish, A: i % 8, B: 20 + i%8, Width: 1}, at)
+		if est.Status != StatusOK {
+			t.Fatalf("establish %d: %+v", i, est)
+		}
+		at += 10 * unit.Microsecond
+		if rel := submit(s, Request{Op: OpRelease, Circuit: est.Circuit}, at); rel.Status != StatusOK {
+			t.Fatalf("release %d: %+v", i, rel)
+		}
+		at += 10 * unit.Microsecond
+	}
+	if n := s.Auditor().Audits(); n != 0 {
+		t.Fatalf("Audit: invariant.Off ran %d audits over %d mutations", n, 8*invariant.DefaultStride)
+	}
+}
+
 func TestServerValidation(t *testing.T) {
 	s := newTestServer(t, nil)
 	cases := []struct {

@@ -95,7 +95,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // instant must still restore (an earlier validation rejected it as
 // corrupt).
 func TestCheckpointBacklogBeyondQueueCap(t *testing.T) {
-	cfg := Config{Seed: 8, QueueCap: 4}
+	cfg := Config{Seed: 8, Audit: invariant.Paranoid, QueueCap: 4}
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestCheckpointBacklogBeyondQueueCap(t *testing.T) {
 // TestCheckpointConfigMismatch pins the digest gate: a checkpoint
 // taken under one config must refuse to restore under another.
 func TestCheckpointConfigMismatch(t *testing.T) {
-	cfg := Config{Seed: 3}
+	cfg := Config{Seed: 3, Audit: invariant.Paranoid}
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 // resolved controller config and demands that each perturbed config
 // refuses the checkpoint: the digest is complete by construction.
 func TestCheckpointDigestCoversEveryField(t *testing.T) {
-	s, err := NewServer(Config{Seed: 3})
+	s, err := NewServer(Config{Seed: 3, Audit: invariant.Paranoid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestCheckpointDigestCoversEveryField(t *testing.T) {
 // digest let through: TileEdge feeds route propagation loss, yet a
 // checkpoint restored under TileEdge x4 without complaint.
 func TestCheckpointRejectsTileEdgeChange(t *testing.T) {
-	cfg := Config{Seed: 3, WaferConfig: wafer.DefaultConfig()}
+	cfg := Config{Seed: 3, Audit: invariant.Paranoid, WaferConfig: wafer.DefaultConfig()}
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestCheckpointRejectsTileEdgeChange(t *testing.T) {
 // carried its own digest) is refused as a format mismatch, never
 // misreported as a config mismatch.
 func TestCheckpointRefusesOldFormat(t *testing.T) {
-	cfg := Config{Seed: 3}
+	cfg := Config{Seed: 3, Audit: invariant.Paranoid}
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestCheckpointRefusesOldFormat(t *testing.T) {
 // snapshot files: truncation and bit-flips surface ErrCorruptSnapshot,
 // never a panic or a silently wrong server.
 func TestCheckpointCorruption(t *testing.T) {
-	cfg := Config{Seed: 5}
+	cfg := Config{Seed: 5, Audit: invariant.Paranoid}
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestCheckpointCorruption(t *testing.T) {
 // TestCheckpointTornWriteFallsBack kills the primary snapshot after a
 // rotation and checks Load falls back to the previous good one.
 func TestCheckpointTornWriteFallsBack(t *testing.T) {
-	cfg := Config{Seed: 6}
+	cfg := Config{Seed: 6, Audit: invariant.Paranoid}
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)

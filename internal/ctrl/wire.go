@@ -172,13 +172,6 @@ func (r Response) Err() error {
 	}
 }
 
-// EncodeRequest serializes a request payload.
-func EncodeRequest(req Request) []byte {
-	var e snapshot.Encoder
-	EncodeRequestTo(&e, req)
-	return e.Bytes()
-}
-
 // EncodeRequestTo appends the request payload to e. Long-lived callers
 // (the client's call loop) Reset and reuse one encoder so steady-state
 // encoding allocates nothing.
@@ -212,13 +205,6 @@ func DecodeRequest(payload []byte) (Request, error) {
 		return Request{}, fmt.Errorf("%w: unknown op %d", ErrBadFrame, int(req.Op))
 	}
 	return req, nil
-}
-
-// EncodeResponse serializes a response payload.
-func EncodeResponse(resp Response) []byte {
-	var e snapshot.Encoder
-	EncodeResponseTo(&e, resp)
-	return e.Bytes()
 }
 
 // EncodeResponseTo appends the response payload to e. Long-lived
@@ -275,10 +261,10 @@ func DecodeResponse(payload []byte) (Response, error) {
 	return resp, nil
 }
 
-// AppendFrame appends a length-prefixed frame carrying the payload.
+// appendFrame appends a length-prefixed frame carrying the payload.
 // It panics if the payload exceeds MaxFrame — outbound frames are
 // built by this package and can never legitimately be that large.
-func AppendFrame(dst, payload []byte) []byte {
+func appendFrame(dst, payload []byte) []byte {
 	if len(payload) > MaxFrame {
 		panic(fmt.Sprintf("ctrl: outbound frame payload %d exceeds MaxFrame", len(payload)))
 	}
@@ -286,49 +272,50 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// WriteFrame writes one length-prefixed frame to w.
-func WriteFrame(w io.Writer, payload []byte) error {
-	frame := AppendFrame(make([]byte, 0, frameHeaderSize+len(payload)), payload)
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("ctrl: write frame: %w", err)
-	}
-	return nil
+// frameIO is one connection's reusable wire-I/O state: a frame read
+// buffer, a payload encoder, and a frame write buffer. The zero value
+// is ready; each buffer settles at the largest frame the connection
+// has seen and is reused thereafter.
+type frameIO struct {
+	rbuf  []byte
+	enc   snapshot.Encoder
+	frame []byte
 }
 
-// ReadFrame reads one length-prefixed frame from r and returns its
-// payload in a fresh buffer. A clean end of stream (EOF before any
-// header byte) returns io.EOF; a truncated header or payload, or a
-// length prefix beyond MaxFrame, returns an error wrapping ErrBadFrame.
-// The length is validated before the payload buffer is allocated, so a
-// hostile prefix cannot drive a giant allocation.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	payload, _, err := readFrameReuse(r, nil)
-	return payload, err
-}
-
-// readFrameReuse reads one frame into buf, growing it as needed, and
-// returns the payload (aliasing the buffer) plus the possibly-grown
-// buffer for the next call. Serve loops thread the buffer through so a
-// connection stops allocating once it has seen its largest frame. The
-// MaxFrame check still precedes sizing, bounding growth at 64 KiB.
-func readFrameReuse(r io.Reader, buf []byte) (payload, next []byte, err error) {
+// read returns the next frame's payload, which aliases the read buffer
+// and is valid until the next read call. A clean end of stream (EOF
+// before any header byte) returns io.EOF; a truncated header or
+// payload, or a length prefix beyond MaxFrame, returns an error
+// wrapping ErrBadFrame. The length is validated before the buffer is
+// grown, so a hostile prefix cannot drive a giant allocation and
+// growth is bounded at MaxFrame.
+func (f *frameIO) read(r io.Reader) ([]byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, buf, io.EOF
+			return nil, io.EOF
 		}
-		return nil, buf, fmt.Errorf("%w: truncated header: %w", ErrBadFrame, err)
+		return nil, fmt.Errorf("%w: truncated header: %w", ErrBadFrame, err)
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > MaxFrame {
-		return nil, buf, fmt.Errorf("%w: length prefix %d exceeds MaxFrame %d", ErrBadFrame, n, MaxFrame)
+		return nil, fmt.Errorf("%w: length prefix %d exceeds MaxFrame %d", ErrBadFrame, n, MaxFrame)
 	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
+	if uint32(cap(f.rbuf)) < n {
+		f.rbuf = make([]byte, n)
 	}
-	payload = buf[:n]
+	payload := f.rbuf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, buf, fmt.Errorf("%w: truncated payload (%d declared): %w", ErrBadFrame, n, err)
+		return nil, fmt.Errorf("%w: truncated payload (%d declared): %w", ErrBadFrame, n, err)
 	}
-	return payload, buf, nil
+	return payload, nil
+}
+
+// write frames the encoder's current payload and writes it in one call.
+func (f *frameIO) write(w io.Writer) error {
+	f.frame = appendFrame(f.frame[:0], f.enc.Bytes())
+	if _, err := w.Write(f.frame); err != nil {
+		return fmt.Errorf("ctrl: write frame: %w", err)
+	}
+	return nil
 }

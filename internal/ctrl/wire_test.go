@@ -8,14 +8,32 @@ import (
 	"testing"
 
 	"lightpath/internal/rng"
+	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
 
+// requestPayload encodes req into a fresh payload.
+func requestPayload(req Request) []byte {
+	var e snapshot.Encoder
+	EncodeRequestTo(&e, req)
+	return e.Bytes()
+}
+
+// responsePayload encodes resp into a fresh payload.
+func responsePayload(resp Response) []byte {
+	var e snapshot.Encoder
+	EncodeResponseTo(&e, resp)
+	return e.Bytes()
+}
+
 // TestWireRoundTrip pushes seeded random requests and responses
-// through encode -> frame -> read -> decode and demands exact
+// through the frame I/O ServeConn and Client.Call run — encode into
+// the reused encoder, frame, write, read, decode — and demands exact
 // reconstruction.
 func TestWireRoundTrip(t *testing.T) {
 	r := rng.New(99)
+	var out, in frameIO
+	var buf bytes.Buffer
 	for i := 0; i < 500; i++ {
 		req := Request{
 			ID:       r.Uint64(),
@@ -26,11 +44,12 @@ func TestWireRoundTrip(t *testing.T) {
 			Circuit:  r.Intn(1000) - 1,
 			Deadline: unit.Seconds(r.Float64()) * unit.Millisecond,
 		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, EncodeRequest(req)); err != nil {
+		out.enc.Reset()
+		EncodeRequestTo(&out.enc, req)
+		if err := out.write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		payload, err := ReadFrame(&buf)
+		payload, err := in.read(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,11 +76,12 @@ func TestWireRoundTrip(t *testing.T) {
 				State: BreakerState(r.Intn(3)), Trips: r.Intn(9),
 			})
 		}
-		buf.Reset()
-		if err := WriteFrame(&buf, EncodeResponse(resp)); err != nil {
+		out.enc.Reset()
+		EncodeResponseTo(&out.enc, resp)
+		if err := out.write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		payload, err = ReadFrame(&buf)
+		payload, err = in.read(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,13 +99,13 @@ func TestWireRoundTrip(t *testing.T) {
 // must come back as a wrapped ErrBadFrame, never a panic and never a
 // zero-error success.
 func TestWireMalformed(t *testing.T) {
-	valid := EncodeRequest(Request{ID: 7, Op: OpEstablish, A: 1, B: 2, Width: 4})
+	valid := requestPayload(Request{ID: 7, Op: OpEstablish, A: 1, B: 2, Width: 4})
 	cases := map[string][]byte{
 		"empty":          {},
 		"truncated":      valid[:len(valid)-3],
 		"trailing junk":  append(append([]byte{}, valid...), 0xaa, 0xbb),
-		"unknown op":     EncodeRequest(Request{Op: numOps + 3}),
-		"negative op":    EncodeRequest(Request{Op: -2}),
+		"unknown op":     requestPayload(Request{Op: numOps + 3}),
+		"negative op":    requestPayload(Request{Op: -2}),
 		"random garbage": {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07},
 	}
 	for name, payload := range cases {
@@ -94,12 +114,12 @@ func TestWireMalformed(t *testing.T) {
 		}
 	}
 
-	validResp := EncodeResponse(Response{Status: StatusOK, Regions: []RegionHealth{{State: BreakerOpen}}})
+	validResp := responsePayload(Response{Status: StatusOK, Regions: []RegionHealth{{State: BreakerOpen}}})
 	respCases := map[string][]byte{
 		"empty":          {},
 		"truncated":      validResp[:len(validResp)-2],
-		"unknown status": EncodeResponse(Response{Status: numStatuses}),
-		"bad breaker":    EncodeResponse(Response{Regions: []RegionHealth{{State: 77}}}),
+		"unknown status": responsePayload(Response{Status: numStatuses}),
+		"bad breaker":    responsePayload(Response{Regions: []RegionHealth{{State: 77}}}),
 	}
 	for name, payload := range respCases {
 		if _, err := DecodeResponse(payload); !errors.Is(err, ErrBadFrame) {
@@ -112,18 +132,23 @@ func TestWireMalformed(t *testing.T) {
 // before any allocation, and stream endings are classified: clean EOF
 // at a frame boundary is io.EOF, everything else wraps ErrBadFrame.
 func TestReadFrameHostilePrefix(t *testing.T) {
-	// 4 GiB declared length: must reject from the 4 header bytes alone.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); !errors.Is(err, ErrBadFrame) {
+	var fio frameIO
+	// 4 GiB declared length: must reject from the 4 header bytes alone,
+	// without growing the read buffer.
+	if _, err := fio.read(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("oversized prefix: %v", err)
 	}
-	if _, err := ReadFrame(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
+	if cap(fio.rbuf) != 0 {
+		t.Fatalf("hostile prefix grew the read buffer to %d bytes", cap(fio.rbuf))
+	}
+	if _, err := fio.read(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
 		t.Fatalf("clean EOF: %v", err)
 	}
-	if _, err := ReadFrame(bytes.NewReader([]byte{0x01, 0x00})); !errors.Is(err, ErrBadFrame) {
+	if _, err := fio.read(bytes.NewReader([]byte{0x01, 0x00})); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("torn header: %v", err)
 	}
 	// Declared 10 payload bytes, delivered 3.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0x0a, 0x00, 0x00, 0x00, 1, 2, 3})); !errors.Is(err, ErrBadFrame) {
+	if _, err := fio.read(bytes.NewReader([]byte{0x0a, 0x00, 0x00, 0x00, 1, 2, 3})); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("torn payload: %v", err)
 	}
 }
@@ -137,5 +162,5 @@ func TestAppendFramePanicsOversized(t *testing.T) {
 			t.Fatal("oversized outbound frame did not panic")
 		}
 	}()
-	AppendFrame(nil, make([]byte, MaxFrame+1))
+	appendFrame(nil, make([]byte, MaxFrame+1))
 }

@@ -29,30 +29,18 @@ import (
 	"sync/atomic"
 )
 
-// parallelOff disables the worker pool when set (the CLI's
-// -parallel=false, or tests pinning the reference behavior). The zero
-// value means parallel-on, the default.
-var parallelOff atomic.Bool
-
 // workerOverride pins the pool size when positive; zero means
-// GOMAXPROCS. Tests use it to force real concurrency on small
-// machines (so -race sees the parallel schedule) and to force 1.
+// GOMAXPROCS. One worker is the sequential reference mode (the CLI's
+// -parallel=false): trials run inline, in index order, with early exit
+// on error — the behavior every larger pool must reproduce bit for
+// bit. Tests also use it to force real concurrency on small machines
+// (so -race sees the parallel schedule).
 var workerOverride atomic.Int64
 
-// SetParallel enables or disables the worker pool globally and returns
-// the previous setting. Sequential mode runs trials inline, in index
-// order, with early exit on error — the reference behavior parallel
-// mode must reproduce bit for bit.
-func SetParallel(on bool) (prev bool) {
-	return !parallelOff.Swap(!on)
-}
-
-// Parallel reports whether the worker pool is enabled.
-func Parallel() bool { return !parallelOff.Load() }
-
 // SetWorkers overrides the worker-pool size (0 restores the default,
-// GOMAXPROCS) and returns the previous override. Results never depend
-// on the pool size; only the schedule does.
+// GOMAXPROCS; 1 selects the sequential reference mode) and returns the
+// previous override. Results never depend on the pool size; only the
+// schedule does.
 func SetWorkers(n int) (prev int) {
 	if n < 0 {
 		n = 0
@@ -60,8 +48,8 @@ func SetWorkers(n int) (prev int) {
 	return int(workerOverride.Swap(int64(n)))
 }
 
-// Workers returns the worker-pool size campaigns will use.
-func Workers() int {
+// poolSize returns the worker-pool size campaigns will use.
+func poolSize() int {
 	if n := int(workerOverride.Load()); n > 0 {
 		return n
 	}
@@ -69,7 +57,7 @@ func Workers() int {
 }
 
 // Map runs n independent trials and returns their results in index
-// order. In parallel mode the trials execute on Workers() goroutines;
+// order. In parallel mode the trials execute on poolSize() goroutines;
 // in sequential mode they execute inline. Either way the returned
 // slice is identical, and on failure the error returned is the
 // lowest-index trial's error (exactly what a sequential loop that
@@ -79,7 +67,7 @@ func Map[R any](n int, trial func(i int) (R, error)) ([]R, error) {
 		return nil, nil
 	}
 	results := make([]R, n)
-	if !Parallel() || Workers() == 1 || n == 1 {
+	if poolSize() == 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			r, err := trial(i)
 			if err != nil {
@@ -113,7 +101,7 @@ func Stream[R any](limit int, trial func(i int) (R, error), consume func(i int, 
 	if limit <= 0 {
 		return nil
 	}
-	if !Parallel() || Workers() == 1 {
+	if poolSize() == 1 {
 		for i := 0; i < limit; i++ {
 			r, err := trial(i)
 			if err != nil {
@@ -129,7 +117,7 @@ func Stream[R any](limit int, trial func(i int) (R, error), consume func(i int, 
 		}
 		return nil
 	}
-	batch := Workers() * 4
+	batch := poolSize() * 4
 	results := make([]R, batch)
 	errs := make([]error, batch)
 	for lo := 0; lo < limit; lo += batch {
@@ -158,14 +146,14 @@ func Stream[R any](limit int, trial func(i int) (R, error), consume func(i int, 
 
 // ShardWorkers returns the number of workers RunShards(workers, n, fn)
 // should be given for n shards: 1 in sequential mode (or for a single
-// shard), otherwise min(Workers(), n). Callers size per-worker arenas
+// shard), otherwise min(poolSize(), n). Callers size per-worker arenas
 // to this count before fanning out, so the shard bodies themselves
 // stay allocation-free.
 func ShardWorkers(n int) int {
-	if n <= 1 || !Parallel() {
+	if n <= 1 {
 		return 1
 	}
-	if w := Workers(); w < n {
+	if w := poolSize(); w < n {
 		return w
 	}
 	return n
@@ -219,11 +207,11 @@ func RunShards(workers, n int, fn func(worker, shard int)) {
 	wg.Wait()
 }
 
-// runPool executes fn(i) for every i in [lo, hi) across Workers()
+// runPool executes fn(i) for every i in [lo, hi) across poolSize()
 // goroutines, dispatching indices from an atomic counter, and returns
 // when all are done.
 func runPool(lo, hi int, fn func(i int)) {
-	workers := Workers()
+	workers := poolSize()
 	if span := hi - lo; workers > span {
 		workers = span
 	}

@@ -15,19 +15,16 @@ import (
 // restores the previous settings when the test ends.
 func forceParallel(t *testing.T, workers int) {
 	t.Helper()
-	prevPar := SetParallel(true)
-	prevW := SetWorkers(workers)
-	t.Cleanup(func() {
-		SetParallel(prevPar)
-		SetWorkers(prevW)
-	})
+	prev := SetWorkers(workers)
+	t.Cleanup(func() { SetWorkers(prev) })
 }
 
-// forceSequential pins the engine to the sequential reference mode.
+// forceSequential pins the engine to the sequential reference mode: a
+// one-worker pool.
 func forceSequential(t *testing.T) {
 	t.Helper()
-	prev := SetParallel(false)
-	t.Cleanup(func() { SetParallel(prev) })
+	prev := SetWorkers(1)
+	t.Cleanup(func() { SetWorkers(prev) })
 }
 
 // TestMapMatchesSequential is the engine's core contract: the parallel
@@ -186,14 +183,14 @@ func TestStreamConsumeError(t *testing.T) {
 func TestWorkersOverride(t *testing.T) {
 	prev := SetWorkers(6)
 	defer SetWorkers(prev)
-	if Workers() != 6 {
-		t.Fatalf("Workers() = %d, want 6", Workers())
+	if poolSize() != 6 {
+		t.Fatalf("poolSize() = %d, want 6", poolSize())
 	}
 	if got := SetWorkers(-1); got != 6 {
 		t.Fatalf("SetWorkers returned %d, want 6", got)
 	}
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d after reset, want >= 1", Workers())
+	if poolSize() < 1 {
+		t.Fatalf("poolSize() = %d after reset, want >= 1", poolSize())
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"lightpath/internal/collective"
-	"lightpath/internal/cost"
-	"lightpath/internal/netsim"
+	"lightpath/internal/core"
 	"lightpath/internal/torus"
 	"lightpath/internal/unit"
 )
@@ -49,47 +47,27 @@ func (r AllToAllResult) String() string {
 }
 
 // AllToAll runs the study over the 16 chips of a 4x4 plane of a TPU
-// rack for the given per-chip buffer sizes.
+// rack for the given per-chip buffer sizes, planning each size through
+// core.Fabric.PlanAllToAll.
 func AllToAll(buffers []unit.Bytes) (AllToAllResult, error) {
-	t := torus.New(torus.TPUv4RackShape)
-	s := &torus.Slice{Name: "plane", Origin: torus.Coord{0, 0, 0}, Shape: torus.Shape{4, 4, 1}}
-	chips := s.Chips(t)
-	p := cost.DefaultParams()
-	res := AllToAllResult{Chips: len(chips)}
-
+	f, err := core.New(core.Options{})
+	if err != nil {
+		return AllToAllResult{}, err
+	}
+	plane := &torus.Slice{Name: "plane", Origin: torus.Coord{0, 0, 0}, Shape: torus.Shape{4, 4, 1}}
+	a, err := torus.NewAllocation(f.Torus(), []*torus.Slice{plane})
+	if err != nil {
+		return AllToAllResult{}, err
+	}
+	res := AllToAllResult{Chips: plane.Size()}
 	for _, buf := range buffers {
-		n := int(buf / 4)
-		if n < len(chips) {
-			n = len(chips)
-		}
-		// Uniform blocks: round up to a multiple of the chip count.
-		if rem := n % len(chips); rem != 0 {
-			n += len(chips) - rem
-		}
-		elecSched, err := collective.AllToAll("a2a/elec", chips, n, 4, false)
+		plan, err := f.PlanAllToAll(a, 0, buf)
 		if err != nil {
 			return AllToAllResult{}, err
 		}
-		optSched, err := collective.AllToAll("a2a/opt", chips, n, 4, true)
-		if err != nil {
-			return AllToAllResult{}, err
-		}
-		res.Steps = elecSched.NumSteps()
-		res.Reconfigs = optSched.Reconfigs()
-
-		// Electrical: dimension-ordered routing over the torus; every
-		// hop contends for the per-dimension link share.
-		pathOf := func(tr collective.Transfer) []torus.Link { return t.DORPath(tr.From, tr.To) }
-		elec, err := netsim.ExecuteElectrical(elecSched, t, p.ChipBandwidth/unit.BitRate(p.PhysDims), pathOf, netsim.ExecOptions{Alpha: p.Alpha})
-		if err != nil {
-			return AllToAllResult{}, err
-		}
-		// Optical: one dedicated circuit per chip per step at the full
-		// egress (only one partner at a time), reprogrammed each step.
-		opt, err := netsim.ExecuteOptical(optSched, p.ChipBandwidth, netsim.ExecOptions{Alpha: p.Alpha, Reconfig: p.Reconfig})
-		if err != nil {
-			return AllToAllResult{}, err
-		}
+		res.Steps = plan.Schedule.NumSteps()
+		res.Reconfigs = plan.Schedule.Reconfigs()
+		elec, opt := plan.ElectricalTime, plan.OpticalTime
 		point := AllToAllPoint{Buffer: buf, ElectricalTime: elec, OpticalTime: opt}
 		if opt > 0 {
 			point.Speedup = float64(elec / opt)

@@ -17,8 +17,8 @@ import (
 
 // benchSequential forces the engine sequential for one benchmark.
 func benchSequential(b *testing.B) {
-	engine.SetParallel(false)
-	b.Cleanup(func() { engine.SetParallel(true) })
+	prev := engine.SetWorkers(1)
+	b.Cleanup(func() { engine.SetWorkers(prev) })
 }
 
 // warmup runs one untimed campaign before the measured loop: under
@@ -110,10 +110,10 @@ func BenchmarkChaosPar(b *testing.B) {
 func BenchmarkSoakSeq(b *testing.B) {
 	benchSequential(b)
 	var res SoakResult
-	warmup(b, func() error { _, err := Soak(2024, 2); return err })
+	warmup(b, func() error { _, err := SoakWithOptions(2024, 2, SoakOptions{}); return err })
 	for i := 0; i < b.N; i++ {
 		var err error
-		if res, err = Soak(2024, 2); err != nil {
+		if res, err = SoakWithOptions(2024, 2, SoakOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,10 +122,10 @@ func BenchmarkSoakSeq(b *testing.B) {
 
 func BenchmarkSoakPar(b *testing.B) {
 	var res SoakResult
-	warmup(b, func() error { _, err := Soak(2024, 2); return err })
+	warmup(b, func() error { _, err := SoakWithOptions(2024, 2, SoakOptions{}); return err })
 	for i := 0; i < b.N; i++ {
 		var err error
-		if res, err = Soak(2024, 2); err != nil {
+		if res, err = SoakWithOptions(2024, 2, SoakOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

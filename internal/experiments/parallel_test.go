@@ -82,7 +82,7 @@ var parallelCampaigns = []struct {
 		return r.String(), err
 	}},
 	{"soak", func() (string, error) {
-		r, err := Soak(2024, 2)
+		r, err := SoakWithOptions(2024, 2, SoakOptions{})
 		if err != nil {
 			return "", err
 		}
@@ -97,17 +97,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, c := range parallelCampaigns {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			engine.SetParallel(false)
+			engine.SetWorkers(1)
+			defer engine.SetWorkers(0)
 			seq, err := c.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			engine.SetParallel(true)
 			engine.SetWorkers(8)
-			defer func() {
-				engine.SetWorkers(0)
-				engine.SetParallel(true)
-			}()
 			par, err := c.run()
 			if err != nil {
 				t.Fatal(err)

@@ -67,15 +67,13 @@ func TestRailFabricCounts(t *testing.T) {
 // byte-identical CSVs and summaries.
 func TestRailFabricDeterministicAcrossModes(t *testing.T) {
 	cfg := smallRailConfig()
-	prevPar := engine.SetParallel(false)
+	prevW := engine.SetWorkers(1)
 	seq, err := RailFabric(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine.SetParallel(true)
-	prevW := engine.SetWorkers(4)
+	engine.SetWorkers(4)
 	par, err := RailFabric(cfg)
-	engine.SetParallel(prevPar)
 	engine.SetWorkers(prevW)
 	if err != nil {
 		t.Fatal(err)

@@ -104,19 +104,15 @@ type SoakOptions struct {
 	Resume bool
 }
 
-// Soak runs the availability campaign: `trials` independent fleet
-// soaks at the default three-day horizon, fanned across CPUs by the
-// experiment engine. Each trial derives its own seed stream, every
-// trial runs under the Paranoid auditor, and the merged result is
-// byte-identical whether the trials ran sequentially or in parallel.
-func Soak(seed uint64, trials int) (SoakResult, error) {
-	return SoakWithOptions(seed, trials, SoakOptions{})
-}
-
-// SoakWithOptions is Soak with checkpoint/resume control. The trial
-// configs retain the exact time series (fleet.SampleExact): the
-// golden CSV is the full series, so the campaign opts out of the
-// streaming default.
+// SoakWithOptions runs the availability campaign: `trials`
+// independent fleet soaks at the default three-day horizon, fanned
+// across CPUs by the experiment engine, under the checkpoint/resume
+// control in opts (the zero SoakOptions runs without checkpoints).
+// Each trial derives its own seed stream, every trial runs under the
+// Paranoid auditor, and the merged result is byte-identical whether
+// the trials ran sequentially or in parallel. The trial configs retain
+// the exact time series (fleet.SampleExact): the golden CSV is the
+// full series, so the campaign opts out of the streaming default.
 func SoakWithOptions(seed uint64, trials int, opts SoakOptions) (SoakResult, error) {
 	if trials < 1 {
 		return SoakResult{}, fmt.Errorf("experiments: soak trials %d < 1", trials)

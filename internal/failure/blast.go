@@ -15,6 +15,9 @@ import (
 // failure under the TPUv4 policy ([60] in the paper): the job is
 // migrated away from the entire rack, so every chip of the failed
 // chip's rack is impacted.
+//
+// Public so each policy's chip set can be inspected per failure, not
+// only through SweepBlastRadius's averages.
 func ElectricalBlastRadius(c *torus.Cluster, failedGlobal int) []int {
 	rack, _ := c.Split(failedGlobal)
 	out := make([]int, 0, c.RackSize())
@@ -28,6 +31,9 @@ func ElectricalBlastRadius(c *torus.Cluster, failedGlobal int) []int {
 // photonic repair: optical circuits route around the failure, so only
 // the multi-accelerator server containing the failed chip is
 // impacted.
+//
+// Public so each policy's chip set can be inspected per failure, not
+// only through SweepBlastRadius's averages.
 func OpticalBlastRadius(c *torus.Cluster, failedGlobal int) []int {
 	rack, chip := c.Split(failedGlobal)
 	server := c.ServerOf(chip)

@@ -453,6 +453,7 @@ func TestMultiOpticalRepairExhaustsSpares(t *testing.T) {
 // still computes a mathematically correct AllReduce over the surviving
 // membership.
 func TestRepairedRingCollectiveCorrect(t *testing.T) {
+	var ip collective.Interp
 	f, sc := fig6aFabric(t)
 	plan, err := f.OpticalRepair(0, sc.FailedChip, 4, 0, 99)
 	if err != nil {
@@ -498,8 +499,8 @@ func TestRepairedRingCollectiveCorrect(t *testing.T) {
 	st := collective.NewState(xRing, n, func(chip, i int) float64 {
 		return float64(chip*100 + i)
 	})
-	ref := collective.ReduceAcross(st, xRing, n)
-	if err := st.Execute(sched); err != nil {
+	ref := collective.ReduceAcrossInto(nil, st, xRing, n)
+	if err := ip.Execute(st, sched); err != nil {
 		t.Fatal(err)
 	}
 	if err := collective.CheckAllReduce(st, xRing, ref); err != nil {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"testing"
 
+	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
 
@@ -25,7 +26,7 @@ func BenchmarkSoakYearStreaming(b *testing.B) {
 		cfg.Rates.MTBF[c] = cfg.Horizon / 600
 	}
 	run := func() *Outcome {
-		out, err := Run(cfg)
+		out, err := RunCheckpointed(cfg, snapshot.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

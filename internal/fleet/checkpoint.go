@@ -23,10 +23,14 @@ import (
 // version 2 the digest is the checkpoint driver's.
 const checkpointVersion = 2
 
-// RunCheckpointed executes the soak like Run, additionally
-// checkpointing through opts: every opts.EveryEvents event boundaries
-// (default 1024), and at the StopAfterEvents boundary, where it
-// returns snapshot.ErrStopped.
+// RunCheckpointed executes the soak and returns its availability time
+// series. The returned error is non-nil when the fault schedule cannot
+// be applied or when the invariant auditor found violations (wrapping
+// invariant.ErrViolated) — a clean soak on corrupted logic must not
+// look like a clean soak on correct logic. With a non-empty opts.Path
+// it checkpoints every opts.EveryEvents event boundaries (default
+// 1024), and at the StopAfterEvents boundary, where it returns
+// snapshot.ErrStopped; the zero Options runs without checkpoints.
 func RunCheckpointed(cfg Config, opts snapshot.Options) (*Outcome, error) {
 	return runSoak(cfg, opts, false)
 }

@@ -32,7 +32,7 @@ func crashCfg() Config {
 // to the uninterrupted run.
 func TestResumeByteIdenticalAtEveryBoundary(t *testing.T) {
 	cfg := crashCfg()
-	want, err := Run(cfg)
+	want, err := RunCheckpointed(cfg, snapshot.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestResumeByteIdenticalAtEveryBoundary(t *testing.T) {
 // the identical Outcome.
 func TestResumeFallsBackOnTornSnapshot(t *testing.T) {
 	cfg := crashCfg()
-	want, err := Run(cfg)
+	want, err := RunCheckpointed(cfg, snapshot.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +232,11 @@ func TestStreamingMatchesExactAggregates(t *testing.T) {
 
 	exact := cfg
 	exact.SampleMode = SampleExact
-	eo, err := Run(exact)
+	eo, err := RunCheckpointed(exact, snapshot.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, err := Run(cfg)
+	so, err := RunCheckpointed(cfg, snapshot.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,13 +272,13 @@ func TestStreamingMatchesExactAggregates(t *testing.T) {
 	// Short soaks: streaming retains everything, so the default mode
 	// change cannot perturb existing consumers.
 	short := Config{Seed: 5}
-	a, err := Run(short)
+	a, err := RunCheckpointed(short, snapshot.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	shortExact := short
 	shortExact.SampleMode = SampleExact
-	b, err := Run(shortExact)
+	b, err := RunCheckpointed(shortExact, snapshot.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

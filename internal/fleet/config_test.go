@@ -10,8 +10,8 @@ import (
 )
 
 // TestConfigValidateTable exercises validate directly — not through
-// Run, whose withDefaults pass papers over zero values — with one
-// case per guard clause, plus the valid baseline.
+// RunCheckpointed, whose withDefaults pass papers over zero values —
+// with one case per guard clause, plus the valid baseline.
 func TestConfigValidateTable(t *testing.T) {
 	valid := Config{}.withDefaults()
 	if err := valid.validate(); err != nil {

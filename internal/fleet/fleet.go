@@ -48,7 +48,8 @@ const (
 )
 
 // Config parameterizes one soak. The zero value of every field takes
-// the default documented on it; Run never mutates the caller's copy.
+// the default documented on it; RunCheckpointed never mutates the
+// caller's copy.
 type Config struct {
 	// Seed drives the fault schedule, repair durations and job
 	// placement through independent split streams.
@@ -291,7 +292,7 @@ func (q *repairQueue) Pop() any {
 	return ev
 }
 
-// soak is the running state of one Run.
+// soak is the running state of one RunCheckpointed call.
 type soak struct {
 	cfg   Config
 	alloc *route.Allocator
@@ -389,15 +390,6 @@ func (s *soak) place() {
 	}
 }
 
-// Run executes the soak and returns its availability time series. The
-// returned error is non-nil when the fault schedule cannot be applied
-// or when the invariant auditor found violations (wrapping
-// invariant.ErrViolated) — a clean soak on corrupted logic must not
-// look like a clean soak on correct logic.
-func Run(cfg Config) (*Outcome, error) {
-	return RunCheckpointed(cfg, snapshot.Options{})
-}
-
 // run drives the event loop to the horizon (or to an injected stop).
 // It merges the three ordered event streams; ties are broken by kind
 // — repairs land before faults, faults before samples — so the order
@@ -423,7 +415,9 @@ func (s *soak) run(ck *snapshot.Checkpointer) (*Outcome, error) {
 			return &s.out, s.aud.Err()
 		case rt <= ft && rt <= st:
 			ev := heap.Pop(&s.repairs).(repairEvent)
-			s.completeRepair(ev)
+			if err := s.completeRepair(ev); err != nil {
+				return nil, err
+			}
 		case ft <= st:
 			if err := s.applyFault(s.faults[s.fi]); err != nil {
 				return nil, err
@@ -557,36 +551,19 @@ func (s *soak) dispatch(now unit.Seconds) {
 // completeRepair restores the failed component, returns repaired
 // chips to the spare pool, and lets admission control re-admit shed
 // jobs and upgrade degraded ones against the recovered capacity.
-func (s *soak) completeRepair(ev repairEvent) {
+func (s *soak) completeRepair(ev repairEvent) error {
 	f := ev.fault
-	switch f.Class {
-	case chaos.LaserDeath:
-		s.rack.TileOf(f.Chip).RepairLasers(1)
-	case chaos.MZIStuck:
-		_ = s.rack.TileOf(f.Chip).RepairSwitch(f.Switch)
-	case chaos.WaveguideLoss:
-		o := wafer.Vertical
-		if f.Horizontal {
-			o = wafer.Horizontal
-		}
-		_ = s.rack.Wafer(f.Wafer).RepairSegment(o, f.Lane, f.Pos)
-	case chaos.FiberCut:
-		s.alloc.RestoreFiberRow(f.Trunk, f.Row)
-	case chaos.ChipFailure:
-		s.rack.TileOf(f.Chip).RepairChip()
-		if !s.chipInUse(f.Chip) {
-			s.returnSpare(f.Chip)
-		}
+	if err := s.alloc.RepairFault(f); err != nil {
+		return fmt.Errorf("fleet: repair %v: %w", f, err)
+	}
+	if f.Class == chaos.ChipFailure && !s.chipInUse(f.Chip) {
+		s.returnSpare(f.Chip)
 	}
 	s.out.Repairs++
 	s.busy--
-	// Hardware repairs bypass the allocator, so tell the auditor
-	// directly; fiber-row restoration already fired the hook.
-	if f.Class != chaos.FiberCut {
-		s.aud.Mutated("repair")
-	}
 	s.dispatch(ev.at)
 	s.recover(ev.at)
+	return nil
 }
 
 // chipInUse reports whether a chip is an endpoint of any job or

@@ -19,8 +19,7 @@ const maxRecorded = 64
 
 // Auditor runs the invariant registry against one allocator. It is
 // attached through the allocator's audit hook, so it observes every
-// completed top-level mutation; it may also be invoked directly via
-// Audit after mutations that bypass the allocator (hardware repairs).
+// completed top-level mutation; Audit runs a pass on demand.
 // An Auditor is not safe for concurrent use — like the allocator it
 // watches, it belongs to a single trial.
 type Auditor struct {
@@ -49,9 +48,8 @@ func Attach(a *route.Allocator, mode Mode) *Auditor {
 
 // Mutated notes one completed top-level mutation and, depending on
 // the mode, runs the registry. It is the function Attach installs as
-// the allocator's audit hook; callers that mutate hardware behind the
-// allocator's back (repair crews) invoke it directly with their own
-// operation name.
+// the allocator's audit hook; a caller that wraps the hook (to time
+// audits, say) forwards to it.
 func (d *Auditor) Mutated(op string) {
 	d.mutations++
 	switch d.mode {
@@ -74,9 +72,9 @@ func (d *Auditor) run(op string) []Violation {
 	d.audits++
 	var fresh []Violation
 	d.ctx.load(d.alloc)
-	for i, inv := range registry {
-		for _, detail := range checks[i](d.alloc, &d.ctx) {
-			fresh = append(fresh, Violation{Invariant: inv.Name, Op: op, Detail: detail})
+	for _, inv := range registry {
+		for _, detail := range inv.check(d.alloc, &d.ctx) {
+			fresh = append(fresh, Violation{Invariant: inv.name, Op: op, Detail: detail})
 		}
 	}
 	if len(fresh) == 0 {
@@ -100,10 +98,6 @@ func (d *Auditor) Count() int { return d.count }
 // Audits returns how many full registry passes have run.
 func (d *Auditor) Audits() int { return d.audits }
 
-// Mutations returns how many top-level mutations the auditor has
-// observed.
-func (d *Auditor) Mutations() int { return d.mutations }
-
 // Violations returns a copy of the retained violations (at most
 // maxRecorded; Count reports the true total).
 func (d *Auditor) Violations() []Violation {
@@ -125,6 +119,9 @@ var defaultMode atomic.Int32
 
 // SetDefaultMode sets the process-wide default audit mode and returns
 // the previous one.
+//
+// Public as part of the cross-package test harness: TestMain in core,
+// experiments and cmd/lightpath-sim raises the default to Paranoid.
 func SetDefaultMode(m Mode) Mode {
 	return Mode(defaultMode.Swap(int32(m)))
 }
@@ -156,6 +153,9 @@ func recordGlobal(vs []Violation) {
 }
 
 // GlobalCount returns the process-wide violation total.
+//
+// Public as part of the cross-package test harness: TestMain in core,
+// experiments and cmd/lightpath-sim asserts it stays zero.
 func GlobalCount() int {
 	globalMu.Lock()
 	defer globalMu.Unlock()
@@ -164,6 +164,9 @@ func GlobalCount() int {
 
 // GlobalViolations returns a copy of the retained process-wide
 // violations.
+//
+// Public as part of the cross-package test harness: TestMain in core,
+// experiments and cmd/lightpath-sim reports the first one.
 func GlobalViolations() []Violation {
 	globalMu.Lock()
 	defer globalMu.Unlock()
@@ -172,6 +175,8 @@ func GlobalViolations() []Violation {
 
 // ResetGlobal clears the process-wide tally; tests that provoke
 // violations on purpose call it before handing control back.
+//
+// Public as part of the cross-package test harness.
 func ResetGlobal() {
 	globalMu.Lock()
 	defer globalMu.Unlock()

@@ -44,8 +44,8 @@ const (
 	// for hot paths while still catching persistent corruption.
 	Sampled
 	// Paranoid audits after every completed top-level mutation
-	// (Establish, Release, ApplyFault, Reestablish, fiber-row
-	// fail/restore). All tests run in this mode, except that
+	// (Establish, Release, ApplyFault, RepairFault, Reestablish,
+	// fiber-row fail/restore). All tests run in this mode, except that
 	// cmd/lightpath-sim's full-scale campaign replays drop to Sampled
 	// under -race to stay inside the race detector's time budget.
 	Paranoid
@@ -81,75 +81,55 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s (after %s): %s", v.Invariant, v.Op, v.Detail)
 }
 
-// Invariant is one registered cross-layer check. Check returns a
-// detail string per failure; the auditor stamps the invariant name
-// and triggering operation onto the resulting Violations.
-type Invariant struct {
-	// Name is the stable identifier used in Violations and DESIGN.md.
-	Name string
-	// Doc states what must hold, in one sentence.
-	Doc string
-	// Check audits a consistent (not mid-mutation) allocator.
-	Check func(a *route.Allocator) []string
-}
-
-// registry is ordered from structural to semantic checks; it is
-// immutable after init. Each public Check builds a private scratch
-// context per call; the Auditor's audit loop shares one context
-// across checks and audits instead (see checks and Auditor.run).
-var registry = []Invariant{
+// registry is the one check table, ordered from structural to semantic
+// checks and immutable after init. Each check returns a detail string
+// per failure; the Auditor stamps the invariant's name and the
+// triggering operation onto the resulting Violations, and shares one
+// scratch context across checks and audits (see Auditor.run).
+var registry = []struct {
+	// name is the stable identifier used in Violations and DESIGN.md.
+	name string
+	// doc states what must hold, in one sentence.
+	doc string
+	// check audits a consistent (not mid-mutation) allocator.
+	check func(a *route.Allocator, ctx *checkCtx) []string
+}{
 	{
-		Name:  "circuit-disjointness",
-		Doc:   "established circuits have positive width and share no bus segment or fiber pairwise",
-		Check: standalone(checkDisjointness),
+		name:  "circuit-disjointness",
+		doc:   "established circuits have positive width and share no bus segment or fiber pairwise",
+		check: checkDisjointness,
 	},
 	{
-		Name:  "bus-conservation",
-		Doc:   "every circuit segment's exact span is allocated on its bus, and the rack's allocated span count equals the circuits' segment count",
-		Check: standalone(checkBusConservation),
+		name:  "bus-conservation",
+		doc:   "every circuit segment's exact span is allocated on its bus, and the rack's allocated span count equals the circuits' segment count",
+		check: checkBusConservation,
 	},
 	{
-		Name:  "fiber-conservation",
-		Doc:   "every circuit fiber is occupied in the rack, the rack's occupied-fiber count equals the circuits' fiber count, and the allocator's per-row mirror matches",
-		Check: standalone(checkFiberConservation),
+		name:  "fiber-conservation",
+		doc:   "every circuit fiber is occupied in the rack, the rack's occupied-fiber count equals the circuits' fiber count, and the allocator's per-row mirror matches",
+		check: checkFiberConservation,
 	},
 	{
-		Name:  "endpoint-conservation",
-		Doc:   "each tile's reserved lasers and SerDes ports equal the sum of circuit widths and endpoint count terminating there, and never exceed capacity",
-		Check: standalone(checkEndpointConservation),
+		name:  "endpoint-conservation",
+		doc:   "each tile's reserved lasers and SerDes ports equal the sum of circuit widths and endpoint count terminating there, and never exceed capacity",
+		check: checkEndpointConservation,
 	},
 	{
-		Name:  "budget-health",
-		Doc:   "active circuits terminate at healthy chips, cross no severed span or failed fiber row, settle one reconfiguration latency after establishment, and (when budget checking is on) still close their optical budget",
-		Check: standalone(checkBudgetHealth),
+		name:  "budget-health",
+		doc:   "active circuits terminate at healthy chips, cross no severed span or failed fiber row, settle one reconfiguration latency after establishment, and (when budget checking is on) still close their optical budget",
+		check: checkBudgetHealth,
 	},
 	{
-		Name:  "switch-consistency",
-		Doc:   "the hardware switch ports match the programming each circuit's segments require (endpoint switch 0 to port 0, turn switch 1 to port 1)",
-		Check: standalone(checkSwitchConsistency),
+		name:  "switch-consistency",
+		doc:   "the hardware switch ports match the programming each circuit's segments require (endpoint switch 0 to port 0, turn switch 1 to port 1)",
+		check: checkSwitchConsistency,
 	},
 }
-
-// checks mirrors registry order with the scratch-context check
-// functions the Auditor calls directly.
-var checks = []func(a *route.Allocator, ctx *checkCtx) []string{
-	checkDisjointness,
-	checkBusConservation,
-	checkFiberConservation,
-	checkEndpointConservation,
-	checkBudgetHealth,
-	checkSwitchConsistency,
-}
-
-// Registry returns the registered invariants in audit order. The
-// returned slice is shared; callers must not modify it.
-func Registry() []Invariant { return registry }
 
 // checkCtx is the reusable working storage of one audit pass: the
 // sorted circuit list every check walks, plus per-check sort and
-// tally buffers. An attached Auditor keeps one across audits so the
-// steady-state audit loop stops allocating; the public registry
-// builds a throwaway one per Check call.
+// tally buffers. An Auditor keeps one across audits so the
+// steady-state audit loop stops allocating.
 type checkCtx struct {
 	circuits []*route.Circuit
 	switches []route.SwitchExpectation
@@ -163,16 +143,6 @@ type checkCtx struct {
 // load refreshes the sorted circuit list from the allocator.
 func (ctx *checkCtx) load(a *route.Allocator) {
 	ctx.circuits = a.AppendCircuits(ctx.circuits[:0])
-}
-
-// standalone adapts a scratch-context check to the public Check
-// signature, building a fresh context per call.
-func standalone(check func(a *route.Allocator, ctx *checkCtx) []string) func(a *route.Allocator) []string {
-	return func(a *route.Allocator) []string {
-		var ctx checkCtx
-		ctx.load(a)
-		return check(a, &ctx)
-	}
 }
 
 // segOwner tags a circuit's segment with its owner for the

@@ -115,7 +115,7 @@ var corruptions = []struct {
 		name:      "switch reprogrammed behind the allocator",
 		invariant: "switch-consistency",
 		sabotage: func(t *testing.T, a *route.Allocator) {
-			se := a.CircuitSwitches(firstCircuit(t, a))[0]
+			se := a.AppendCircuitSwitches(nil, firstCircuit(t, a))[0]
 			if err := se.Tile.Switches[se.Switch].Program(se.Port+1, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -226,18 +226,18 @@ func TestSampledModeStrides(t *testing.T) {
 // TestRegistryAndModeStrings pins the documented surface: six named,
 // documented invariants and printable modes.
 func TestRegistryAndModeStrings(t *testing.T) {
-	if len(Registry()) != 6 {
-		t.Fatalf("registry has %d invariants, want 6", len(Registry()))
+	if len(registry) != 6 {
+		t.Fatalf("registry has %d invariants, want 6", len(registry))
 	}
 	seen := map[string]bool{}
-	for _, inv := range Registry() {
-		if inv.Name == "" || inv.Doc == "" || inv.Check == nil {
-			t.Fatalf("invariant %+v incompletely registered", inv)
+	for _, inv := range registry {
+		if inv.name == "" || inv.doc == "" || inv.check == nil {
+			t.Fatalf("invariant %q incompletely registered", inv.name)
 		}
-		if seen[inv.Name] {
-			t.Fatalf("duplicate invariant name %q", inv.Name)
+		if seen[inv.name] {
+			t.Fatalf("duplicate invariant name %q", inv.name)
 		}
-		seen[inv.Name] = true
+		seen[inv.name] = true
 	}
 	for m, want := range map[Mode]string{Off: "off", Sampled: "sampled", Paranoid: "paranoid", Mode(9): "Mode(9)"} {
 		if m.String() != want {

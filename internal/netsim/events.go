@@ -110,19 +110,3 @@ const (
 	phaseStalled // crossing a dead resource, failure not yet detected
 	phaseBackoff // detected; waiting out the retry delay
 )
-
-// RunEvents simulates the flows like Run while applying the failure
-// events: a flow crossing a failed resource stalls; after
-// pol.Detection it is declared dead, waits out an exponential backoff,
-// and retries the whole transfer once its resources are healthy again
-// (a retry into a still-dead fabric stalls and is re-detected,
-// consuming another retry). Failures that heal within the detection
-// window resume transparently with no retransmission.
-//
-// RunEvents is a convenience shim over a fresh Sim; callers running
-// many event-driven simulations hold a Sim and call its RunEvents
-// method to reuse the solver's scratch across calls.
-func RunEvents[R comparable](flows []Flow[R], caps map[R]unit.BitRate, events []Event[R], pol RetryPolicy) (EventResult, error) {
-	var s Sim[R]
-	return s.RunEvents(flows, caps, events, pol)
-}

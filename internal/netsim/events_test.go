@@ -17,16 +17,18 @@ func eventPolicy() RetryPolicy {
 }
 
 func TestRunEventsNoEventsMatchesRun(t *testing.T) {
+	// Two solvers: a Sim's results alias its storage until its next call.
+	var sim, evSim Sim[string]
 	flows := []Flow[string]{
 		{Bytes: unit.GB, Via: []string{"a"}},
 		{Bytes: unit.GB / 2, Via: []string{"a", "b"}},
 	}
 	caps := map[string]unit.BitRate{"a": unit.GBps(1), "b": unit.GBps(1)}
-	plain, err := Run(flows, caps)
+	plain, err := sim.Run(flows, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := RunEvents(flows, caps, nil, eventPolicy())
+	ev, err := evSim.RunEvents(flows, caps, nil, eventPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +46,7 @@ func TestRunEventsNoEventsMatchesRun(t *testing.T) {
 }
 
 func TestRunEventsTransparentHiccup(t *testing.T) {
+	var sim Sim[string]
 	// Failure at 0.2s, restored at 0.5s — inside the 1s detection
 	// window. The flow stalls 0.3s but never retries: 1s of work +
 	// 0.3s stall = 1.3s.
@@ -53,7 +56,7 @@ func TestRunEventsTransparentHiccup(t *testing.T) {
 		{At: 0.2, Fail: []string{"l"}},
 		{At: 0.5, Restore: []string{"l"}},
 	}
-	res, err := RunEvents(flows, caps, events, eventPolicy())
+	res, err := sim.RunEvents(flows, caps, events, eventPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +75,7 @@ func TestRunEventsTransparentHiccup(t *testing.T) {
 }
 
 func TestRunEventsRestoreAtDetectionDeadlineIsTransparent(t *testing.T) {
+	var sim Sim[string]
 	// The link dies at 0.2s and is restored at exactly the detection
 	// deadline, 1.2s. Restores apply before phase transitions at the
 	// same instant, so the sender never declares the transfer dead:
@@ -83,7 +87,7 @@ func TestRunEventsRestoreAtDetectionDeadlineIsTransparent(t *testing.T) {
 		{At: 0.2, Fail: []string{"l"}},
 		{At: 1.2, Restore: []string{"l"}},
 	}
-	res, err := RunEvents(flows, caps, events, eventPolicy())
+	res, err := sim.RunEvents(flows, caps, events, eventPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +106,7 @@ func TestRunEventsRestoreAtDetectionDeadlineIsTransparent(t *testing.T) {
 }
 
 func TestRunEventsDetectionRetryAndWaste(t *testing.T) {
+	var sim Sim[string]
 	// Failure at 0.5s (half delivered), restored at 2s. Detection
 	// expires at 1.5s: 0.5 GB wasted, one retry. Backoff 0.5s ends at
 	// 2.0s with the link healthy; the full GB retransmits: done at 3.0s.
@@ -111,7 +116,7 @@ func TestRunEventsDetectionRetryAndWaste(t *testing.T) {
 		{At: 0.5, Fail: []string{"l"}},
 		{At: 2, Restore: []string{"l"}},
 	}
-	res, err := RunEvents(flows, caps, events, eventPolicy())
+	res, err := sim.RunEvents(flows, caps, events, eventPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +137,7 @@ func TestRunEventsDetectionRetryAndWaste(t *testing.T) {
 }
 
 func TestRunEventsUnaffectedFlowKeepsRunning(t *testing.T) {
+	var sim Sim[string]
 	flows := []Flow[string]{
 		{Bytes: unit.GB, Via: []string{"dead"}},
 		{Bytes: unit.GB, Via: []string{"alive"}},
@@ -141,7 +147,7 @@ func TestRunEventsUnaffectedFlowKeepsRunning(t *testing.T) {
 		{At: 0.1, Fail: []string{"dead"}},
 		{At: 0.2, Restore: []string{"dead"}},
 	}
-	res, err := RunEvents(flows, caps, events, eventPolicy())
+	res, err := sim.RunEvents(flows, caps, events, eventPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,6 +160,7 @@ func TestRunEventsUnaffectedFlowKeepsRunning(t *testing.T) {
 }
 
 func TestRunEventsExponentialBackoffOnRepeatedFailure(t *testing.T) {
+	var sim Sim[string]
 	// The link dies at 0.1s and stays dead past several detection
 	// windows; each detect->backoff->stall cycle doubles the backoff
 	// until the restore at 6s lets the retry through.
@@ -163,7 +170,7 @@ func TestRunEventsExponentialBackoffOnRepeatedFailure(t *testing.T) {
 		{At: 0.1, Fail: []string{"l"}},
 		{At: 6, Restore: []string{"l"}},
 	}
-	res, err := RunEvents(flows, caps, events, eventPolicy())
+	res, err := sim.RunEvents(flows, caps, events, eventPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,63 +183,67 @@ func TestRunEventsExponentialBackoffOnRepeatedFailure(t *testing.T) {
 }
 
 func TestRunEventsRetriesExhausted(t *testing.T) {
+	var sim Sim[string]
 	flows := []Flow[string]{{Bytes: unit.GB, Via: []string{"l"}}}
 	caps := map[string]unit.BitRate{"l": unit.GBps(1)}
 	events := []Event[string]{
 		{At: 0.1, Fail: []string{"l"}},
 		{At: 1 << 20, Restore: []string{"l"}},
 	}
-	_, err := RunEvents(flows, caps, events, eventPolicy())
+	_, err := sim.RunEvents(flows, caps, events, eventPolicy())
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
 	}
 }
 
 func TestRunEventsStalledForever(t *testing.T) {
+	var sim Sim[string]
 	flows := []Flow[string]{{Bytes: unit.GB, Via: []string{"l"}}}
 	caps := map[string]unit.BitRate{"l": unit.GBps(1)}
 	events := []Event[string]{{At: 0.1, Fail: []string{"l"}}}
 	pol := eventPolicy()
 	pol.MaxRetries = 1 << 30 // never exhaust; the deadlock must be caught
-	_, err := RunEvents(flows, caps, events, pol)
+	_, err := sim.RunEvents(flows, caps, events, pol)
 	if !errors.Is(err, ErrStalledForever) {
 		t.Fatalf("err = %v, want ErrStalledForever", err)
 	}
 }
 
 func TestRunEventsRejectsDegenerateInputs(t *testing.T) {
+	var sim Sim[string]
 	caps := map[string]unit.BitRate{"l": unit.GBps(1)}
 	good := []Flow[string]{{Bytes: unit.GB, Via: []string{"l"}}}
-	if _, err := RunEvents(good, caps, []Event[string]{{At: 2}, {At: 1}}, eventPolicy()); err == nil {
+	if _, err := sim.RunEvents(good, caps, []Event[string]{{At: 2}, {At: 1}}, eventPolicy()); err == nil {
 		t.Fatal("unsorted events accepted")
 	}
 	bad := eventPolicy()
 	bad.BackoffFactor = 0.5
-	if _, err := RunEvents(good, caps, nil, bad); err == nil {
+	if _, err := sim.RunEvents(good, caps, nil, bad); err == nil {
 		t.Fatal("shrinking backoff accepted")
 	}
 	neg := eventPolicy()
 	neg.Detection = -1
-	if _, err := RunEvents(good, caps, nil, neg); err == nil {
+	if _, err := sim.RunEvents(good, caps, nil, neg); err == nil {
 		t.Fatal("negative detection accepted")
 	}
-	if _, err := RunEvents([]Flow[string]{{Bytes: unit.GB}}, caps, nil, eventPolicy()); !errors.Is(err, ErrStarvedFlow) {
+	if _, err := sim.RunEvents([]Flow[string]{{Bytes: unit.GB}}, caps, nil, eventPolicy()); !errors.Is(err, ErrStarvedFlow) {
 		t.Fatal("flow with no resources accepted")
 	}
-	if _, err := RunEvents([]Flow[string]{{Bytes: unit.GB, Via: []string{"l"}}},
+	if _, err := sim.RunEvents([]Flow[string]{{Bytes: unit.GB, Via: []string{"l"}}},
 		map[string]unit.BitRate{"l": 0}, nil, eventPolicy()); !errors.Is(err, ErrStarvedFlow) {
 		t.Fatal("zero-capacity resource accepted")
 	}
-	if _, err := RunEvents([]Flow[string]{{Bytes: -1, Via: []string{"l"}}}, caps, nil, eventPolicy()); err == nil {
+	if _, err := sim.RunEvents([]Flow[string]{{Bytes: -1, Via: []string{"l"}}}, caps, nil, eventPolicy()); err == nil {
 		t.Fatal("negative flow size accepted")
 	}
-	if _, err := RunEvents([]Flow[string]{{Bytes: unit.GB, Via: []string{"ghost"}}}, caps, nil, eventPolicy()); err == nil {
+	if _, err := sim.RunEvents([]Flow[string]{{Bytes: unit.GB, Via: []string{"ghost"}}}, caps, nil, eventPolicy()); err == nil {
 		t.Fatal("unknown resource accepted")
 	}
 }
 
 func TestRunEventsZeroByteFlowsComplete(t *testing.T) {
-	res, err := RunEvents([]Flow[string]{{Bytes: 0}}, nil, nil, eventPolicy())
+	var sim Sim[string]
+	res, err := sim.RunEvents([]Flow[string]{{Bytes: 0}}, nil, nil, eventPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,6 +253,9 @@ func TestRunEventsZeroByteFlowsComplete(t *testing.T) {
 }
 
 func TestRunEventsDeterministic(t *testing.T) {
+	// first stays on its own solver: a Sim's results alias its storage
+	// until its next call, and the repeats reuse one solver.
+	var firstSim, sim Sim[string]
 	flows := []Flow[string]{
 		{Bytes: unit.GB, Via: []string{"a", "shared"}},
 		{Bytes: unit.GB, Via: []string{"b", "shared"}},
@@ -252,12 +266,12 @@ func TestRunEventsDeterministic(t *testing.T) {
 		{At: 0.25, Fail: []string{"a"}},
 		{At: 0.5, Restore: []string{"a"}},
 	}
-	first, err := RunEvents(flows, caps, events, eventPolicy())
+	first, err := firstSim.RunEvents(flows, caps, events, eventPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 20; trial++ {
-		again, err := RunEvents(flows, caps, events, eventPolicy())
+		again, err := sim.RunEvents(flows, caps, events, eventPolicy())
 		if err != nil {
 			t.Fatal(err)
 		}

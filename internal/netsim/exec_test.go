@@ -17,6 +17,7 @@ func slice1() *torus.Slice {
 }
 
 func TestExecuteElectricalMatchesCostModel(t *testing.T) {
+	var e Executor
 	// The netsim execution of a congestion-free schedule must equal
 	// the analytic alpha-beta cost (DESIGN.md invariant).
 	tor := rack()
@@ -28,7 +29,7 @@ func TestExecuteElectricalMatchesCostModel(t *testing.T) {
 	}
 	p := cost.DefaultParams()
 	linkBW := p.ChipBandwidth / unit.BitRate(p.PhysDims)
-	got, err := ExecuteElectrical(sched, tor, linkBW, nil, ExecOptions{Alpha: p.Alpha})
+	got, err := e.Electrical(sched, tor, linkBW, nil, ExecOptions{Alpha: p.Alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +43,7 @@ func TestExecuteElectricalMatchesCostModel(t *testing.T) {
 }
 
 func TestExecuteOpticalMatchesCostModel(t *testing.T) {
+	var e Executor
 	tor := rack()
 	s := slice1()
 	n := 1 << 20
@@ -50,7 +52,7 @@ func TestExecuteOpticalMatchesCostModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := cost.DefaultParams()
-	got, err := ExecuteOptical(sched, p.ChipBandwidth, ExecOptions{Alpha: p.Alpha, Reconfig: p.Reconfig})
+	got, err := e.Optical(sched, p.ChipBandwidth, ExecOptions{Alpha: p.Alpha, Reconfig: p.Reconfig})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +69,7 @@ func TestExecuteOpticalMatchesCostModel(t *testing.T) {
 // collective completes ~3x faster on the photonic fabric for large
 // buffers.
 func TestFig5cEndToEnd(t *testing.T) {
+	var e Executor
 	tor := rack()
 	s := slice1()
 	n := 1 << 24 // large buffer: beta-dominated
@@ -80,11 +83,11 @@ func TestFig5cEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	elec, err := ExecuteElectrical(elecSched, tor, p.ChipBandwidth/3, nil, ExecOptions{Alpha: p.Alpha})
+	elec, err := e.Electrical(elecSched, tor, p.ChipBandwidth/3, nil, ExecOptions{Alpha: p.Alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := ExecuteOptical(optSched, p.ChipBandwidth, ExecOptions{Alpha: p.Alpha, Reconfig: p.Reconfig})
+	opt, err := e.Optical(optSched, p.ChipBandwidth, ExecOptions{Alpha: p.Alpha, Reconfig: p.Reconfig})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +100,7 @@ func TestFig5cEndToEnd(t *testing.T) {
 }
 
 func TestExecuteElectricalDetectsNonAdjacent(t *testing.T) {
+	var e Executor
 	tor := rack()
 	sched := &collective.Schedule{
 		N: 8, ElemBytes: 4,
@@ -104,12 +108,13 @@ func TestExecuteElectricalDetectsNonAdjacent(t *testing.T) {
 			{Transfers: []collective.Transfer{{From: 0, To: 2, Range: collective.Range{Lo: 0, Hi: 8}}}},
 		},
 	}
-	if _, err := ExecuteElectrical(sched, tor, unit.GBps(1), nil, ExecOptions{}); err == nil {
+	if _, err := e.Electrical(sched, tor, unit.GBps(1), nil, ExecOptions{}); err == nil {
 		t.Fatal("non-adjacent transfer accepted without a path function")
 	}
 }
 
 func TestExecuteElectricalMultiHopPath(t *testing.T) {
+	var e Executor
 	// A 2-hop detour path shares its middle link with nothing; time =
 	// bytes/linkBW (fluid model, no store-and-forward delay modeled).
 	tor := rack()
@@ -122,7 +127,7 @@ func TestExecuteElectricalMultiHopPath(t *testing.T) {
 	path := func(tr collective.Transfer) []torus.Link {
 		return []torus.Link{{From: 0, To: 1}, {From: 1, To: 2}}
 	}
-	got, err := ExecuteElectrical(sched, tor, unit.GBps(1), path, ExecOptions{})
+	got, err := e.Electrical(sched, tor, unit.GBps(1), path, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +138,7 @@ func TestExecuteElectricalMultiHopPath(t *testing.T) {
 }
 
 func TestCongestionDoublesStepTime(t *testing.T) {
+	var e Executor
 	// Two same-step transfers forced over one shared link take twice
 	// as long — the quantitative content of Figures 6a/6b.
 	tor := rack()
@@ -148,11 +154,11 @@ func TestCongestionDoublesStepTime(t *testing.T) {
 	}
 	shared := torus.Link{From: 0, To: 1}
 	path := func(tr collective.Transfer) []torus.Link { return []torus.Link{shared} }
-	congested, err := ExecuteElectrical(sched, tor, unit.GBps(1), path, ExecOptions{})
+	congested, err := e.Electrical(sched, tor, unit.GBps(1), path, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := ExecuteElectrical(sched, tor, unit.GBps(1), nil, ExecOptions{})
+	clean, err := e.Electrical(sched, tor, unit.GBps(1), nil, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +168,15 @@ func TestCongestionDoublesStepTime(t *testing.T) {
 }
 
 func TestExecuteOpticalValidation(t *testing.T) {
+	var e Executor
 	sched := &collective.Schedule{N: 8, ElemBytes: 4}
-	if _, err := ExecuteOptical(sched, 0, ExecOptions{}); err == nil {
+	if _, err := e.Optical(sched, 0, ExecOptions{}); err == nil {
 		t.Fatal("zero circuit bandwidth accepted")
 	}
 }
 
 func TestReconfigOnlyChargedWhenMarked(t *testing.T) {
+	var e Executor
 	n := 1 << 10
 	mk := func(reconfig bool) *collective.Schedule {
 		return &collective.Schedule{
@@ -179,11 +187,11 @@ func TestReconfigOnlyChargedWhenMarked(t *testing.T) {
 		}
 	}
 	opt := ExecOptions{Reconfig: 3.7 * unit.Microsecond}
-	with, err := ExecuteOptical(mk(true), unit.GBps(1), opt)
+	with, err := e.Optical(mk(true), unit.GBps(1), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := ExecuteOptical(mk(false), unit.GBps(1), opt)
+	without, err := e.Optical(mk(false), unit.GBps(1), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +201,7 @@ func TestReconfigOnlyChargedWhenMarked(t *testing.T) {
 }
 
 func TestHopLatencyStretchesSteps(t *testing.T) {
+	var e Executor
 	tor := rack()
 	sched := &collective.Schedule{
 		N: 1 << 10, ElemBytes: 1,
@@ -201,11 +210,11 @@ func TestHopLatencyStretchesSteps(t *testing.T) {
 		},
 	}
 	path := func(tr collective.Transfer) []torus.Link { return tor.DORPath(tr.From, tr.To) }
-	base, err := ExecuteElectrical(sched, tor, unit.GBps(1), path, ExecOptions{})
+	base, err := e.Electrical(sched, tor, unit.GBps(1), path, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withHops, err := ExecuteElectrical(sched, tor, unit.GBps(1), path, ExecOptions{HopLatency: unit.Microsecond})
+	withHops, err := e.Electrical(sched, tor, unit.GBps(1), path, ExecOptions{HopLatency: unit.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +227,7 @@ func TestHopLatencyStretchesSteps(t *testing.T) {
 // Property: for random realizable slices, the optical executor equals
 // the analytic cost model on bucket schedules too (not just snakes).
 func TestOpticalMatchesCostModelProperty(t *testing.T) {
+	var e Executor
 	tor := rack()
 	p := cost.DefaultParams()
 	shapes := []torus.Shape{
@@ -237,7 +247,7 @@ func TestOpticalMatchesCostModelProperty(t *testing.T) {
 				activeDims++
 			}
 		}
-		got, err := ExecuteOptical(sched, p.ChipBandwidth/unit.BitRate(activeDims), ExecOptions{Alpha: p.Alpha, Reconfig: p.Reconfig})
+		got, err := e.Optical(sched, p.ChipBandwidth/unit.BitRate(activeDims), ExecOptions{Alpha: p.Alpha, Reconfig: p.Reconfig})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,9 +17,10 @@ func approx(a, b unit.Seconds, tol float64) bool {
 }
 
 func TestSingleFlowExactTime(t *testing.T) {
+	var sim Sim[string]
 	flows := []Flow[string]{{Bytes: unit.GB, Via: []string{"l"}}}
 	caps := map[string]unit.BitRate{"l": unit.GBps(1)}
-	res, err := Run(flows, caps)
+	res, err := sim.Run(flows, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +33,7 @@ func TestSingleFlowExactTime(t *testing.T) {
 }
 
 func TestTwoFlowsShareLink(t *testing.T) {
+	var sim Sim[string]
 	// Two equal flows on one link: each gets half, both finish at 2s —
 	// the paper's definition of congestion made quantitative.
 	flows := []Flow[string]{
@@ -39,7 +41,7 @@ func TestTwoFlowsShareLink(t *testing.T) {
 		{Bytes: unit.GB, Via: []string{"l"}},
 	}
 	caps := map[string]unit.BitRate{"l": unit.GBps(1)}
-	res, err := Run(flows, caps)
+	res, err := sim.Run(flows, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +51,7 @@ func TestTwoFlowsShareLink(t *testing.T) {
 }
 
 func TestUnequalFlowsFreeCapacityEarly(t *testing.T) {
+	var sim Sim[string]
 	// 0.5GB and 1GB on one 1GB/s link: both run at 0.5 GB/s until the
 	// small one finishes at t=1; the big one then gets the full link:
 	// 0.5GB left at 1 GB/s -> finishes at t=1.5.
@@ -57,7 +60,7 @@ func TestUnequalFlowsFreeCapacityEarly(t *testing.T) {
 		{Bytes: unit.GB, Via: []string{"l"}},
 	}
 	caps := map[string]unit.BitRate{"l": unit.GBps(1)}
-	res, err := Run(flows, caps)
+	res, err := sim.Run(flows, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +95,9 @@ func TestMaxMinFairness(t *testing.T) {
 func approxF(a, b float64) bool { return math.Abs(a-b)/b < 1e-9 }
 
 func TestZeroByteFlowsCompleteImmediately(t *testing.T) {
+	var sim Sim[string]
 	flows := []Flow[string]{{Bytes: 0, Via: nil}}
-	res, err := Run(flows, map[string]unit.BitRate{})
+	res, err := sim.Run(flows, map[string]unit.BitRate{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,17 +107,18 @@ func TestZeroByteFlowsCompleteImmediately(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
+	var sim Sim[string]
 	caps := map[string]unit.BitRate{"l": unit.GBps(1), "dead": 0}
-	if _, err := Run([]Flow[string]{{Bytes: 1, Via: nil}}, caps); !errors.Is(err, ErrStarvedFlow) {
+	if _, err := sim.Run([]Flow[string]{{Bytes: 1, Via: nil}}, caps); !errors.Is(err, ErrStarvedFlow) {
 		t.Errorf("no-resource flow: %v", err)
 	}
-	if _, err := Run([]Flow[string]{{Bytes: 1, Via: []string{"dead"}}}, caps); !errors.Is(err, ErrStarvedFlow) {
+	if _, err := sim.Run([]Flow[string]{{Bytes: 1, Via: []string{"dead"}}}, caps); !errors.Is(err, ErrStarvedFlow) {
 		t.Errorf("zero-capacity flow: %v", err)
 	}
-	if _, err := Run([]Flow[string]{{Bytes: 1, Via: []string{"missing"}}}, caps); err == nil {
+	if _, err := sim.Run([]Flow[string]{{Bytes: 1, Via: []string{"missing"}}}, caps); err == nil {
 		t.Error("unknown resource accepted")
 	}
-	if _, err := Run([]Flow[string]{{Bytes: -1, Via: []string{"l"}}}, caps); err == nil {
+	if _, err := sim.Run([]Flow[string]{{Bytes: -1, Via: []string{"l"}}}, caps); err == nil {
 		t.Error("negative size accepted")
 	}
 }
@@ -121,6 +126,7 @@ func TestRunErrors(t *testing.T) {
 // Conservation invariant (DESIGN.md): bytes delivered per flow equal
 // bytes requested, for arbitrary flow sets.
 func TestConservationProperty(t *testing.T) {
+	var sim Sim[string]
 	f := func(sizes []uint16, linkChoices []uint8) bool {
 		if len(sizes) == 0 {
 			return true
@@ -142,7 +148,7 @@ func TestConservationProperty(t *testing.T) {
 			}
 			flows = append(flows, Flow[string]{Bytes: unit.Bytes(s), Via: via})
 		}
-		res, err := Run(flows, caps)
+		res, err := sim.Run(flows, caps)
 		if err != nil {
 			return false
 		}
@@ -164,6 +170,7 @@ func TestConservationProperty(t *testing.T) {
 // Work-conservation lower bound: the makespan is at least the most
 // loaded link's total bytes over its capacity.
 func TestMakespanMeetsLinkLoadBound(t *testing.T) {
+	var sim Sim[string]
 	f := func(sizes []uint16) bool {
 		if len(sizes) == 0 {
 			return true
@@ -175,7 +182,7 @@ func TestMakespanMeetsLinkLoadBound(t *testing.T) {
 			total += unit.Bytes(s) + 1
 		}
 		caps := map[string]unit.BitRate{"l": unit.GBps(1)}
-		res, err := Run(flows, caps)
+		res, err := sim.Run(flows, caps)
 		if err != nil {
 			return false
 		}

@@ -47,7 +47,7 @@ import (
 // capacities until all complete, like Run, but solves each connected
 // component of the sharing graph as an independent simulation and
 // fans the components across the engine worker pool
-// (engine.SetParallel / engine.SetWorkers govern the fan-out; results
+// (engine.SetWorkers governs the fan-out; results
 // are byte-identical either way). The returned slices alias the Sim's
 // storage and are valid until the next call on this Sim.
 func (s *Sim[R]) RunSharded(flows []Flow[R], caps map[R]unit.BitRate) (Result, error) {

@@ -105,14 +105,12 @@ func components(flows []Flow[int]) (compOfFlow []int, nComp int) {
 // and fails on any bitwise divergence between the two.
 func runBoth(t testing.TB, flows []Flow[int], caps map[int]unit.BitRate) (Result, bool) {
 	t.Helper()
-	prevPar := engine.SetParallel(false)
-	defer engine.SetParallel(prevPar)
+	prevW := engine.SetWorkers(1)
+	defer engine.SetWorkers(prevW)
 	var seqSim Sim[int]
 	seqRes, seqErr := seqSim.RunSharded(flows, caps)
 
-	engine.SetParallel(true)
-	prevW := engine.SetWorkers(4)
-	defer engine.SetWorkers(prevW)
+	engine.SetWorkers(4)
 	var parSim Sim[int]
 	parRes, parErr := parSim.RunSharded(flows, caps)
 
@@ -156,7 +154,7 @@ func checkShardedCase(t testing.TB, flows []Flow[int], caps map[int]unit.BitRate
 				idx = append(idx, i)
 			}
 		}
-		want, err := Run(sub, caps)
+		want, err := new(Sim[int]).Run(sub, caps)
 		if err != nil {
 			t.Fatalf("component %d: %v", c, err)
 		}
@@ -202,7 +200,7 @@ func TestShardedSingleComponentMatchesRun(t *testing.T) {
 		if _, nComp := components(flows); nComp != 1 {
 			continue
 		}
-		want, wantErr := Run(flows, caps)
+		want, wantErr := new(Sim[int]).Run(flows, caps)
 		var sim Sim[int]
 		got, gotErr := sim.RunSharded(flows, caps)
 		if (wantErr == nil) != (gotErr == nil) {
@@ -226,12 +224,8 @@ func TestShardedSingleComponentMatchesRun(t *testing.T) {
 // parallel mode: stale scratch from a larger prior case — or a prior
 // worker count — must never leak into a later case.
 func TestShardedReuseAcrossCases(t *testing.T) {
-	prevPar := engine.SetParallel(true)
 	prevW := engine.SetWorkers(4)
-	defer func() {
-		engine.SetParallel(prevPar)
-		engine.SetWorkers(prevW)
-	}()
+	defer engine.SetWorkers(prevW)
 	var sim Sim[int]
 	for seed := uint64(0); seed < 60; seed++ {
 		if seed == 30 {

@@ -8,9 +8,9 @@ import (
 )
 
 // This file is the production solver. The generic, map-indexed
-// fairRates in netsim.go stays as the reference oracle; Sim computes
-// the same max-min fair rates — bit for bit — over an interned,
-// integer-indexed representation:
+// fairRates in differential_test.go is the reference oracle; Sim
+// computes the same max-min fair rates — bit for bit — over an
+// interned, integer-indexed representation:
 //
 //   - Each distinct resource R is interned to a dense int32 on first
 //     sight, scanning flows in index order and each flow's Via in
@@ -37,11 +37,9 @@ import (
 // executors, the campaign loops — runs allocation-free at steady
 // state. A Sim must not be used from multiple goroutines at once.
 
-// Sim is a reusable fluid-flow simulator. The package-level Run and
-// RunEvents are shims that run a fresh Sim per call; callers on a hot
-// path hold one Sim and call its methods so every scratch structure —
+// Sim is a reusable fluid-flow simulator: every scratch structure —
 // the interning table, the CSR incidence, rate vectors, and the
-// returned result slices — is reused.
+// returned result slices — is reused across calls.
 type Sim[R comparable] struct {
 	// Interning: resource -> dense id in first-use order, and back.
 	ids   map[R]int32
@@ -416,9 +414,11 @@ func (s *Sim[R]) refill(c int32, scratch []int32) []int32 {
 }
 
 // Run simulates the flows sharing the given resource capacities until
-// all complete, exactly like the package-level Run, reusing the Sim's
-// storage. The returned slices alias that storage and are valid until
-// the next call on this Sim.
+// all complete, returning per-flow completion times. Flows with zero
+// bytes complete at time zero. Resources not present in caps are an
+// error — silently treating them as infinite would hide modeling bugs.
+// The returned slices alias the Sim's storage and are valid until the
+// next call on this Sim.
 func (s *Sim[R]) Run(flows []Flow[R], caps map[R]unit.BitRate) (Result, error) {
 	active, err := s.build(flows, caps)
 	if err != nil {
@@ -514,10 +514,18 @@ func (s *Sim[R]) healthy(f int) bool {
 	return true
 }
 
-// RunEvents simulates the flows under the failure events, exactly
-// like the package-level RunEvents, reusing the Sim's storage. The
-// returned slices alias that storage and are valid until the next
-// call on this Sim.
+// RunEvents simulates the flows like Run while applying the failure
+// events: a flow crossing a failed resource stalls; after
+// pol.Detection it is declared dead, waits out an exponential backoff,
+// and retries the whole transfer once its resources are healthy again
+// (a retry into a still-dead fabric stalls and is re-detected,
+// consuming another retry). Failures that heal within the detection
+// window resume transparently with no retransmission. The returned
+// slices alias the Sim's storage and are valid until the next call on
+// this Sim.
+//
+// It is public as netsim's fault model, the origin of
+// ErrRetriesExhausted and ErrStalledForever in the error taxonomy.
 func (s *Sim[R]) RunEvents(flows []Flow[R], caps map[R]unit.BitRate, events []Event[R], pol RetryPolicy) (EventResult, error) {
 	if err := pol.validate(); err != nil {
 		return EventResult{}, err

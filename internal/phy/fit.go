@@ -176,6 +176,9 @@ type GaussianFit struct {
 }
 
 // Density evaluates the fitted normal density at x.
+//
+// FitGaussian's chi-square evaluates it; it is public so a fit can be
+// checked against other histograms.
 func (g GaussianFit) Density(x float64) float64 {
 	if g.SD <= 0 {
 		return 0

@@ -132,21 +132,6 @@ func (m *MZI) SettledAt(programmedAt unit.Seconds) unit.Seconds {
 	return programmedAt + unit.Seconds(4)*m.tau()
 }
 
-// CrossCoupling returns the fraction of input power emerging at the
-// cross port at simulated time now, in [0, 1]. An ideal settled Cross
-// MZI returns ~1; an ideal settled Bar MZI returns ~0 (limited by the
-// extinction ratio).
-func (m *MZI) CrossCoupling(now unit.Seconds) float64 {
-	m.settle(now)
-	// Ideal interferometer: cross power = sin^2(phase/2).
-	ideal := math.Sin(m.phase / 2)
-	cross := ideal * ideal
-	// Fold in finite extinction: the achievable range is
-	// [leak, 1-leak] rather than [0, 1].
-	leak := unit.Decibel(-m.extinction()).Linear()
-	return leak + cross*(1-2*leak)
-}
-
 // State returns the commanded routing state (the target, not the
 // instantaneous analog condition).
 func (m *MZI) State() MZIState {

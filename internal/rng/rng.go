@@ -125,6 +125,9 @@ func (r *Rand) Intn(n int) int {
 
 // NormFloat64 returns a standard normal sample using the Box-Muller
 // polar method (Marsaglia).
+//
+// Normal builds on it; it is public beside Float64 and Intn as a
+// standard draw.
 func (r *Rand) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1

@@ -167,12 +167,7 @@ func (a *Allocator) Rack() *wafer.Rack { return a.rack }
 // have ever been issued — long-running owners (the controller daemon)
 // call this from every audit pass.
 func (a *Allocator) Circuits() []*Circuit {
-	out := make([]*Circuit, 0, len(a.circuits))
-	for _, c := range a.circuits {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return a.AppendCircuits(make([]*Circuit, 0, len(a.circuits)))
 }
 
 // NumCircuits returns the live circuit count without materializing
@@ -699,9 +694,9 @@ func clampToSpan(prev, cur planStep) int {
 
 // junction is the step-junction rule on primitive fields, shared by
 // the plan-time switch listing and the segment-time reconstruction in
-// CircuitSwitches: the previous step's lane is a position along the
-// current span, clamped to it; a wafer change enters at the span's low
-// edge.
+// AppendCircuitSwitches: the previous step's lane is a position along
+// the current span, clamped to it; a wafer change enters at the span's
+// low edge.
 func junction(prevWafer, prevLane, curWafer int, curSpan wafer.Interval) int {
 	if prevWafer != curWafer {
 		return curSpan.Lo
@@ -723,20 +718,14 @@ type SwitchExpectation struct {
 	Port   int
 }
 
-// CircuitSwitches reconstructs, from a circuit's committed segments,
-// the switch programming its path required: switch 0 routed to port 0
-// at each endpoint tile (facing the Tx/Rx block) and switch 1 routed
-// to port 1 at each turn tile. Segments mirror the committed plan's
-// steps one-to-one in path order, so the reconstruction is exact; the
-// invariant auditor compares it against the hardware's actual switch
-// state.
-func (a *Allocator) CircuitSwitches(c *Circuit) []SwitchExpectation {
-	return a.AppendCircuitSwitches(nil, c)
-}
-
-// AppendCircuitSwitches appends c's expected switch states to dst and
-// returns the extended slice — CircuitSwitches without the per-call
-// allocation, for the audit hot path.
+// AppendCircuitSwitches reconstructs, from a circuit's committed
+// segments, the switch programming its path required: switch 0 routed
+// to port 0 at each endpoint tile (facing the Tx/Rx block) and switch
+// 1 routed to port 1 at each turn tile. Segments mirror the committed
+// plan's steps one-to-one in path order, so the reconstruction is
+// exact; the invariant auditor compares it against the hardware's
+// actual switch state. It appends to dst and returns the extended
+// slice, so the audit hot path reuses one buffer.
 func (a *Allocator) AppendCircuitSwitches(dst []SwitchExpectation, c *Circuit) []SwitchExpectation {
 	out := append(dst,
 		SwitchExpectation{Tile: a.rack.TileOf(c.A), Switch: 0, Port: 0},

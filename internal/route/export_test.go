@@ -18,3 +18,7 @@ func (a *Allocator) ClearPlanCacheForTest() { a.resetPlanCache() }
 // PlanCacheValidPairs exposes the valid-entry count for invalidation
 // assertions.
 func (a *Allocator) PlanCacheValidPairs() int { return a.planCacheValidPairs() }
+
+// PlanCacheEpoch returns the current fabric epoch (0 if the cache has
+// never been consulted), for invalidation assertions.
+func (a *Allocator) PlanCacheEpoch() uint64 { return a.plans.epoch }

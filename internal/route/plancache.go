@@ -82,10 +82,6 @@ func (a *Allocator) PlanCacheStats() (hits, misses uint64) {
 	return a.plans.hits, a.plans.misses
 }
 
-// PlanCacheEpoch returns the current fabric epoch (0 if the cache has
-// never been consulted). Tests use it to assert invalidation.
-func (a *Allocator) PlanCacheEpoch() uint64 { return a.plans.epoch }
-
 // planCacheValidPairs returns the number of entries valid at the
 // current epoch. Tests and the snapshot layer use it.
 func (a *Allocator) planCacheValidPairs() int {

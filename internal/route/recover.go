@@ -91,6 +91,49 @@ func (a *Allocator) ApplyFault(f chaos.Fault) ([]*Circuit, error) {
 	return nil, fmt.Errorf("route: unknown fault class %d", int(f.Class))
 }
 
+// RepairFault returns the hardware f damaged to service — the inverse
+// of ApplyFault, run when a repair crew finishes. It fires the audit
+// hook exactly once, whatever the class. Repairs invalidate no
+// circuit; the freed capacity is for the caller's admission control to
+// re-use. Only a fiber-row repair reshapes the plan enumeration, so
+// only it bumps the plan-cache epoch.
+func (a *Allocator) RepairFault(f chaos.Fault) error {
+	a.beginOp()
+	defer a.endOp("repair-fault")
+	switch f.Class {
+	case chaos.ChipFailure:
+		if err := a.checkChip(f.Chip); err != nil {
+			return err
+		}
+		a.rack.TileOf(f.Chip).RepairChip()
+		return nil
+
+	case chaos.LaserDeath:
+		if err := a.checkChip(f.Chip); err != nil {
+			return err
+		}
+		a.rack.TileOf(f.Chip).RepairLasers(1)
+		return nil
+
+	case chaos.MZIStuck:
+		if err := a.checkChip(f.Chip); err != nil {
+			return err
+		}
+		return a.rack.TileOf(f.Chip).RepairSwitch(f.Switch)
+
+	case chaos.WaveguideLoss:
+		if f.Wafer < 0 || f.Wafer >= a.rack.NumWafers() {
+			return fmt.Errorf("route: fault wafer %d out of range [0, %d)", f.Wafer, a.rack.NumWafers())
+		}
+		return a.rack.Wafer(f.Wafer).RepairSegment(orientOf(f.Horizontal), f.Lane, f.Pos)
+
+	case chaos.FiberCut:
+		a.RestoreFiberRow(f.Trunk, f.Row)
+		return nil
+	}
+	return fmt.Errorf("route: unknown fault class %d", int(f.Class))
+}
+
 // checkChip validates a fault's chip id against the rack.
 func (a *Allocator) checkChip(chip int) error {
 	if chip < 0 || chip >= a.rack.NumChips() {

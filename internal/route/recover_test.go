@@ -205,6 +205,49 @@ func TestApplyFaultRejectsUnknownClassAndBadChip(t *testing.T) {
 	}
 }
 
+// TestRepairFaultUndoesEachClass applies and then repairs one fault of
+// every class: the repair returns the hardware to full health, clears
+// a cut row, and fires the audit hook exactly once.
+func TestRepairFaultUndoesEachClass(t *testing.T) {
+	for _, f := range []chaos.Fault{
+		{Class: chaos.ChipFailure, Chip: 3},
+		{Class: chaos.LaserDeath, Chip: 3},
+		{Class: chaos.MZIStuck, Chip: 3, Switch: 1},
+		{Class: chaos.WaveguideLoss, Wafer: 1, Horizontal: true, Lane: 2, Pos: 4, ExtraLossDB: 3},
+		{Class: chaos.FiberCut, Trunk: 0, Row: 5},
+	} {
+		a := recoverAllocator(t)
+		healthy := a.Rack().Health()
+		if _, err := a.ApplyFault(f); err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		if a.Rack().Health() == healthy && !a.RowFailed(f.Trunk, f.Row) {
+			t.Fatalf("%v: fault left no trace", f)
+		}
+		hooks := 0
+		a.SetAuditHook(func(string) { hooks++ })
+		if err := a.RepairFault(f); err != nil {
+			t.Fatalf("repair %v: %v", f, err)
+		}
+		if got := a.Rack().Health(); got != healthy {
+			t.Fatalf("after repairing %v: %v, want %v", f, got, healthy)
+		}
+		if a.RowFailed(f.Trunk, f.Row) {
+			t.Fatalf("after repairing %v the row is still failed", f)
+		}
+		if hooks != 1 {
+			t.Fatalf("repairing %v fired the audit hook %d times, want 1", f, hooks)
+		}
+	}
+	a := recoverAllocator(t)
+	if err := a.RepairFault(chaos.Fault{Class: chaos.ChipFailure, Chip: -1}); err == nil {
+		t.Fatal("negative chip accepted")
+	}
+	if err := a.RepairFault(chaos.Fault{Class: chaos.Class(99)}); err == nil {
+		t.Fatal("unknown class accepted")
+	}
+}
+
 func TestEstablishDegradedHalvesWidth(t *testing.T) {
 	a := recoverAllocator(t)
 	free := a.Rack().TileOf(3).FreeLasers()

@@ -62,12 +62,16 @@ func (c *Config) add(a, b int) {
 }
 
 // Has reports whether a direct circuit exists between the chips.
+//
+// hops uses it; it is public as part of Config's query API.
 func (c Config) Has(a, b int) bool { return c.edges[norm(a, b)] }
 
 // Size returns the number of circuits.
 func (c Config) Size() int { return len(c.edges) }
 
 // Degree returns the number of circuits terminating at the chip.
+//
+// ServeTime uses it; it is public as part of Config's query API.
 func (c Config) Degree(chip int) int {
 	n := 0
 	for e := range c.edges {
@@ -80,6 +84,8 @@ func (c Config) Degree(chip int) int {
 
 // MaxDegree returns the largest per-chip circuit count — checked
 // against the tile's SerDes/laser budget.
+//
+// validConfig uses it; it is public as part of Config's query API.
 func (c Config) MaxDegree() int {
 	deg := map[int]int{}
 	for e := range c.edges {

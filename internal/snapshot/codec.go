@@ -38,6 +38,9 @@ func (e *Encoder) U64(v uint64) {
 }
 
 // I64 appends a fixed-width int64.
+//
+// Int is built on it; it is public as the signed member of the
+// codec's fixed-width primitive set.
 func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
 
 // Int appends an int as a fixed-width int64.
@@ -102,9 +105,6 @@ func NewDecoder(payload []byte) *Decoder { return &Decoder{buf: payload} }
 // Err returns the first decode failure, or nil.
 func (d *Decoder) Err() error { return d.err }
 
-// Remaining returns the number of unread payload bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
 // Finish fails unless the payload was consumed exactly: trailing
 // bytes mean the writer and reader disagree about the schema, which
 // is as corrupt as a short read.
@@ -148,6 +148,9 @@ func (d *Decoder) U64() uint64 {
 }
 
 // I64 reads a fixed-width int64.
+//
+// Int is built on it; it is public as the signed member of the
+// codec's fixed-width primitive set.
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
 
 // Int reads an int encoded by Encoder.Int.

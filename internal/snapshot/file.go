@@ -26,6 +26,9 @@ const prevSuffix = ".prev"
 const tmpSuffix = ".tmp"
 
 // PrevPath returns the rotation sibling of a snapshot path.
+//
+// Public so crash-recovery tests outside the package (fleet) can
+// damage the rotation sibling on purpose.
 func PrevPath(path string) string { return path + prevSuffix }
 
 // Write seals the payload and persists it to path with torn-write

@@ -25,6 +25,9 @@ type Leaf[T any] struct {
 // to build. It panics on any other kind: pointers, slices, maps,
 // interfaces and funcs have no place in a config whose printed form
 // is its digest.
+//
+// This package is test support: only _test.go files import it, from
+// the packages whose checkpoint digests it exercises.
 func Leaves[T any](cfg T) []Leaf[T] {
 	var out []Leaf[T]
 	// at locates the field being walked inside any value of type T.

@@ -13,9 +13,9 @@ import (
 
 // This file carries the cross-topology leg of the sharded-solver
 // differential contract: on every Topology implementation, a
-// component-parallel netsim.RunSharded must be byte-identical to a
+// component-parallel Sim.RunSharded must be byte-identical to a
 // sequential one, and each connected component's results must be
-// bit-identical to netsim.Run — the solver the existing netsim
+// bit-identical to Sim.Run — the solver the existing netsim
 // differential tests hold bit-for-bit to the fairRates oracle — on
 // that component's flows alone.
 
@@ -108,14 +108,12 @@ func TestShardedSolveAcrossTopologies(t *testing.T) {
 			for seed := uint64(0); seed < 20; seed++ {
 				flows := genTraffic(tp, seed, 200)
 
-				prevPar := engine.SetParallel(false)
+				prevW := engine.SetWorkers(1)
 				var seqSim netsim.Sim[int]
 				seqRes, seqErr := seqSim.RunSharded(flows, caps)
-				engine.SetParallel(true)
-				prevW := engine.SetWorkers(4)
+				engine.SetWorkers(4)
 				var parSim netsim.Sim[int]
 				parRes, parErr := parSim.RunSharded(flows, caps)
-				engine.SetParallel(prevPar)
 				engine.SetWorkers(prevW)
 
 				if seqErr != nil || parErr != nil {
@@ -145,7 +143,7 @@ func TestShardedSolveAcrossTopologies(t *testing.T) {
 							idx = append(idx, i)
 						}
 					}
-					want, err := netsim.Run(sub, caps)
+					want, err := new(netsim.Sim[int]).Run(sub, caps)
 					if err != nil {
 						t.Fatalf("seed %d component %d: %v", seed, c, err)
 					}

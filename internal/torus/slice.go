@@ -44,6 +44,9 @@ func (s *Slice) Size() int { return s.Shape.Size() }
 
 // Contains reports whether the chip at coordinate c belongs to the
 // slice. The slice may wrap around the parent torus.
+//
+// ContainsIndex builds on it; it is public for callers holding
+// coordinates rather than chip indices.
 func (s *Slice) Contains(t *Torus, c Coord) bool {
 	for d := range c {
 		e := t.Extent(d)
@@ -103,6 +106,9 @@ func (s *Slice) ChipAt(t *Torus, local Coord) int {
 // extent along dimension d, which is the condition under which its
 // dimension-d rings can use the physical wrap-around without touching
 // other tenants.
+//
+// RingLinks and SnakeRing build on it; it is public as part of
+// Slice's geometry API.
 func (s *Slice) SpansDim(t *Torus, d int) bool {
 	return s.Shape[d] == t.Extent(d)
 }
@@ -126,6 +132,9 @@ var ErrNoRing = errors.New("torus: no realizable ring along dimension")
 // outside the slice — the congestion the paper describes — so it
 // returns ErrNoRing. (TPUv4 sidesteps this by only allocating slice
 // shapes whose extents divide the rack this way; see §4.1.)
+//
+// Rings validates through it; it is public as part of Slice's
+// geometry API.
 func (s *Slice) RingLinks(t *Torus, d int) ([]Link, error) {
 	extent := s.Shape[d]
 	switch {
@@ -294,17 +303,4 @@ func (s *Slice) boustrophedon(t *Torus, a, b int) []int {
 		cycle = append(cycle, at(0, bv))
 	}
 	return cycle
-}
-
-// RingToLinks converts an ordered chip cycle into its directed links,
-// including the closing link from the last chip back to the first.
-func RingToLinks(ring []int) []Link {
-	if len(ring) < 2 {
-		return nil
-	}
-	links := make([]Link, len(ring))
-	for i := range ring {
-		links[i] = Link{From: ring[i], To: ring[(i+1)%len(ring)]}
-	}
-	return links
 }

@@ -185,6 +185,9 @@ func (t *Torus) Coord(i int) Coord {
 
 // Neighbor returns the chip adjacent to i along dimension d in
 // direction dir (+1 or -1), with wrap-around.
+//
+// AllLinks and DORPath build on it; it is public as part of Torus's
+// geometry API.
 func (t *Torus) Neighbor(i, d, dir int) int {
 	c := t.Coord(i)
 	c[d] += dir

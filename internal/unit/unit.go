@@ -30,6 +30,9 @@ const (
 )
 
 // Bits returns the size in bits.
+//
+// BitRate.TimeFor builds on it; it is public as one of the unit
+// conversions.
 func (b Bytes) Bits() float64 { return float64(b) * 8 }
 
 // String formats the size with a binary-agnostic decimal suffix.
@@ -141,9 +144,17 @@ type Decibel float64
 
 // Linear returns the linear power ratio corresponding to d treated as a
 // gain: Linear(3 dB) ~= 2. A loss of x dB is a gain of -x dB.
+//
+// Public as half of the unit vocabulary's dB/linear conversion pair;
+// phy's extinction-penalty model, kept in its test build, converts
+// through it.
 func (d Decibel) Linear() float64 { return math.Pow(10, float64(d)/10) }
 
 // FromLinear converts a linear power ratio to dB.
+//
+// Public as half of the unit vocabulary's dB/linear conversion pair;
+// phy's extinction-penalty model, kept in its test build, converts
+// through it.
 func FromLinear(ratio float64) Decibel {
 	return Decibel(10 * math.Log10(ratio))
 }
@@ -153,9 +164,6 @@ type DBm float64
 
 // Milliwatts returns the absolute power in mW.
 func (p DBm) Milliwatts() float64 { return math.Pow(10, float64(p)/10) }
-
-// DBmFromMilliwatts converts an absolute power in mW to dBm.
-func DBmFromMilliwatts(mw float64) DBm { return DBm(10 * math.Log10(mw)) }
 
 // Sub applies a loss in dB to an absolute power: p - loss.
 func (p DBm) Sub(loss Decibel) DBm { return p - DBm(loss) }

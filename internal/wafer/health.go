@@ -48,6 +48,9 @@ func (t *Tile) FailLasers(n int) {
 }
 
 // FailedLasers returns how many lasers have burned out.
+//
+// Rack.Health aggregates it; it is public as the per-component view
+// behind that summary.
 func (t *Tile) FailedLasers() int { return t.lasersFailed }
 
 // RepairChip replaces the tile's failed accelerator chip with a
@@ -95,6 +98,9 @@ func (t *Tile) SwitchHealthy(i int) bool {
 }
 
 // Stuck reports whether the switch has failed into its current state.
+//
+// Rack.Health aggregates it; it is public as the per-component view
+// behind that summary.
 func (s *Switch13) Stuck() bool { return s.stuck }
 
 // DegradeSegment adds extra insertion loss at one tile position of a
@@ -163,6 +169,9 @@ func (w *Wafer) SpanSevered(o Orient, lane int, span Interval) bool {
 
 // DegradedSegments counts tile positions carrying fault-induced loss,
 // for health reporting.
+//
+// Rack.Health aggregates it; it is public as the per-component view
+// behind that summary.
 func (w *Wafer) DegradedSegments() int { return len(w.degraded) }
 
 // HealthReport summarizes a rack's component health for dashboards

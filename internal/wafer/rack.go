@@ -71,6 +71,9 @@ func NewRack(cfg Config, numWafers int) (*Rack, error) {
 }
 
 // NewRackTopology builds a rack with the given cascade topology.
+//
+// NewRack builds on it with Chain; it is public so callers can choose
+// the other cascade topologies.
 func NewRackTopology(cfg Config, numWafers int, topo Topology) (*Rack, error) {
 	if numWafers <= 0 {
 		return nil, fmt.Errorf("wafer: rack needs at least one wafer, got %d", numWafers)

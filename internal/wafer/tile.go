@@ -139,9 +139,3 @@ func (t *Tile) Release(width int) {
 		panic(fmt.Sprintf("wafer: tile (%d,%d) resource underflow", t.Row, t.Col))
 	}
 }
-
-// EndpointBandwidth returns the bandwidth of a circuit of the given
-// wavelength width terminating at this tile.
-func (t *Tile) EndpointBandwidth(width int) unit.BitRate {
-	return unit.BitRate(width) * t.capacity
-}

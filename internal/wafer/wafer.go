@@ -175,17 +175,6 @@ func (w *Wafer) Tile(row, col int) *Tile {
 	return w.tiles[row*w.cfg.Cols+col]
 }
 
-// TileByIndex returns tile i in row-major order.
-func (w *Wafer) TileByIndex(i int) *Tile {
-	if i < 0 || i >= len(w.tiles) {
-		panic(fmt.Sprintf("wafer: tile index %d out of range", i))
-	}
-	return w.tiles[i]
-}
-
-// TileIndex converts (row, col) to the row-major index.
-func (w *Wafer) TileIndex(row, col int) int { return row*w.cfg.Cols + col }
-
 // AllocBus occupies a free bus of the given orientation and lane over
 // the span, returning a reference for later release.
 func (w *Wafer) AllocBus(o Orient, lane int, span Interval) (BusRef, error) {

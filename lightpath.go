@@ -98,6 +98,9 @@ const (
 func New(opts Options) (*Fabric, error) { return core.New(opts) }
 
 // NewTorus builds a direct-connect torus of the given shape.
+//
+// Part of the public facade beside New: module users build tori
+// without importing internal packages.
 func NewTorus(shape Shape) *Torus { return torus.New(shape) }
 
 // NewAllocation validates tenant slices on a torus.
