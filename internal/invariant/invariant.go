@@ -20,7 +20,7 @@ package invariant
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lightpath/internal/phy"
 	"lightpath/internal/route"
@@ -96,7 +96,7 @@ var registry = []struct {
 }{
 	{
 		name:  "circuit-disjointness",
-		doc:   "established circuits have positive width and share no bus segment or fiber pairwise",
+		doc:   "established circuits have positive width, hold only bus positions and fibers inside the rack's grid, and share no bus segment or fiber pairwise",
 		check: checkDisjointness,
 	},
 	{
@@ -127,133 +127,136 @@ var registry = []struct {
 }
 
 // checkCtx is the reusable working storage of one audit pass: the
-// sorted circuit list every check walks, plus per-check sort and
-// tally buffers. An Auditor keeps one across audits so the
-// steady-state audit loop stops allocating.
+// ID-ordered circuit list every check walks, the disjointness check's
+// occupancy grids, and per-check tally buffers. An Auditor keeps one
+// across audits so the steady-state audit loop stops allocating.
 type checkCtx struct {
 	circuits []*route.Circuit
 	switches []route.SwitchExpectation
-	segs     []segOwner
-	fibs     []fibOwner
+	// The audited rack's geometry, which sizes the grids.
+	cfg            wafer.Config
+	wafers, trunks int
+	// epoch numbers the disjointness passes. A grid cell holding
+	// epoch<<32 | slot+1 was claimed in this pass by circuits[slot];
+	// any other value is stale, so the grids are cleared only when
+	// epoch wraps.
+	epoch uint32
+	// busGrid holds one grid per (wafer, lane), the wafer's Rows
+	// horizontal lanes then its Cols vertical ones, indexed
+	// bus*positions+pos and grown to the highest bus claimed.
+	busGrid [][]uint64
+	// fiberGrid is indexed (trunk*Rows+row)*FibersPerEdge+fiber.
+	fiberGrid []uint64
+	// partners are the earlier circuits the current one collides with.
+	partners []int
 	perRow   []int
 	lasers   []int
 	ports    []int
 }
 
-// load refreshes the sorted circuit list from the allocator.
+// load refreshes the ID-ordered circuit list from the allocator.
 func (ctx *checkCtx) load(a *route.Allocator) {
 	ctx.circuits = a.AppendCircuits(ctx.circuits[:0])
 }
 
-// segOwner tags a circuit's segment with its owner for the
-// disjointness sweep.
-type segOwner struct {
-	seg route.Segment
-	id  int
+// nextEpoch starts a disjointness pass over the rack's grids, sizing
+// them on first use and clearing them when the epoch counter wraps.
+func (ctx *checkCtx) nextEpoch(rack *wafer.Rack) {
+	ctx.cfg, ctx.wafers, ctx.trunks = rack.Config(), rack.NumWafers(), rack.NumTrunks()
+	if n := ctx.wafers * (ctx.cfg.Rows + ctx.cfg.Cols); len(ctx.busGrid) != n {
+		ctx.busGrid = make([][]uint64, n)
+	}
+	if n := ctx.trunks * ctx.cfg.Rows * ctx.cfg.FibersPerEdge; len(ctx.fiberGrid) != n {
+		ctx.fiberGrid = make([]uint64, n)
+	}
+	if ctx.epoch++; ctx.epoch == 0 {
+		for _, g := range ctx.busGrid {
+			clear(g)
+		}
+		clear(ctx.fiberGrid)
+		ctx.epoch = 1
+	}
 }
 
-type segsByBus []segOwner
-
-func (s segsByBus) Len() int { return len(s) }
-func (s segsByBus) Less(i, j int) bool {
-	a, b := s[i].seg, s[j].seg
-	if a.Wafer != b.Wafer {
-		return a.Wafer < b.Wafer
+// busCells returns the grid cells of the segment's span, or nil when
+// the segment lies outside the rack's bus grid or its span is inverted.
+func (ctx *checkCtx) busCells(s *route.Segment) []uint64 {
+	r, rows := &s.Ref, ctx.cfg.Rows
+	lane, lanes, positions := r.Lane, rows, ctx.cfg.Cols
+	if r.Orient == wafer.Vertical {
+		lane, lanes, positions = rows+r.Lane, ctx.cfg.Cols, rows
+	} else if r.Orient != wafer.Horizontal {
+		return nil
 	}
-	if a.Ref.Orient != b.Ref.Orient {
-		return a.Ref.Orient < b.Ref.Orient
+	if s.Wafer < 0 || s.Wafer >= ctx.wafers || r.Lane < 0 || r.Lane >= lanes || r.Bus < 0 ||
+		r.Bus >= ctx.cfg.BusesPerLane || r.Span.Lo < 0 || r.Span.Lo > r.Span.Hi || r.Span.Hi >= positions {
+		return nil
 	}
-	if a.Ref.Lane != b.Ref.Lane {
-		return a.Ref.Lane < b.Ref.Lane
+	g := &ctx.busGrid[s.Wafer*(rows+ctx.cfg.Cols)+lane]
+	if need := (r.Bus + 1) * positions; len(*g) < need {
+		*g = append(*g, make([]uint64, need-len(*g))...)
 	}
-	if a.Ref.Bus != b.Ref.Bus {
-		return a.Ref.Bus < b.Ref.Bus
-	}
-	if a.Ref.Span.Lo != b.Ref.Span.Lo {
-		return a.Ref.Span.Lo < b.Ref.Span.Lo
-	}
-	return s[i].id < s[j].id
-}
-func (s segsByBus) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-
-func sameBus(a, b route.Segment) bool {
-	return a.Wafer == b.Wafer && a.Ref.Orient == b.Ref.Orient &&
-		a.Ref.Lane == b.Ref.Lane && a.Ref.Bus == b.Ref.Bus
+	base := r.Bus * positions
+	return (*g)[base+r.Span.Lo : base+r.Span.Hi+1]
 }
 
-// fibOwner tags a circuit's fiber with its owner for the sweep.
-type fibOwner struct {
-	fib wafer.FiberRef
-	id  int
+// fiberCell returns the fiber's grid cell, or nil when the fiber lies
+// outside the rack's trunks.
+func (ctx *checkCtx) fiberCell(f wafer.FiberRef) *uint64 {
+	rows, fibers := ctx.cfg.Rows, ctx.cfg.FibersPerEdge
+	if f.Trunk < 0 || f.Trunk >= ctx.trunks || f.Row < 0 || f.Row >= rows || f.Fiber < 0 || f.Fiber >= fibers {
+		return nil
+	}
+	return &ctx.fiberGrid[(f.Trunk*rows+f.Row)*fibers+f.Fiber]
 }
 
-type fibsByRef []fibOwner
-
-func (s fibsByRef) Len() int { return len(s) }
-func (s fibsByRef) Less(i, j int) bool {
-	a, b := s[i].fib, s[j].fib
-	if a.Trunk != b.Trunk {
-		return a.Trunk < b.Trunk
+// claim stamps cell for the current circuit or, when an earlier
+// circuit already holds it this pass, records that circuit as a
+// partner once. A circuit's own earlier stamp is no collision.
+func (ctx *checkCtx) claim(cell *uint64, stamp uint64) {
+	if prev := *cell; prev>>32 != stamp>>32 {
+		*cell = stamp
+	} else if slot := int(uint32(prev)) - 1; prev != stamp && !slices.Contains(ctx.partners, slot) {
+		ctx.partners = append(ctx.partners, slot)
 	}
-	if a.Row != b.Row {
-		return a.Row < b.Row
-	}
-	if a.Fiber != b.Fiber {
-		return a.Fiber < b.Fiber
-	}
-	return s[i].id < s[j].id
-}
-func (s fibsByRef) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-
-func sharePair(out []string, a, b int) []string {
-	if b < a {
-		a, b = b, a
-	}
-	return append(out, fmt.Sprintf("circuits %d and %d share a bus segment or fiber", a, b))
 }
 
-// checkDisjointness verifies pairwise resource disjointness with one
-// sort-and-sweep pass per resource class instead of the former O(n²)
-// SharesResources walk: segments sorted by bus then span, adjacent
-// spans on the same bus checked for overlap against the running
-// farthest-reaching earlier span; fibers sorted and checked for
-// adjacent duplicates.
+// checkDisjointness verifies pairwise resource disjointness in one
+// walk over the ID-ordered circuits: each circuit stamps every bus
+// position of its spans and every fiber it holds into the occupancy
+// grids, and a cell an earlier circuit stamped this pass is a shared
+// resource. A segment or fiber outside the grids cannot be stamped and
+// is reported instead of skipped.
 func checkDisjointness(a *route.Allocator, ctx *checkCtx) []string {
 	var out []string
-	ctx.segs = ctx.segs[:0]
-	ctx.fibs = ctx.fibs[:0]
-	for _, c := range ctx.circuits {
+	ctx.nextEpoch(a.Rack())
+	for slot, c := range ctx.circuits {
 		if c.Width < 1 {
 			out = append(out, fmt.Sprintf("circuit %d has non-positive width %d", c.ID, c.Width))
 		}
-		for _, s := range c.Segments {
-			ctx.segs = append(ctx.segs, segOwner{seg: s, id: c.ID})
+		stamp := uint64(ctx.epoch)<<32 | uint64(slot+1)
+		ctx.partners = ctx.partners[:0]
+		for k := range c.Segments {
+			cells := ctx.busCells(&c.Segments[k])
+			if cells == nil {
+				out = append(out, fmt.Sprintf("circuit %d segment %v lies outside the rack's bus grid", c.ID, c.Segments[k]))
+				continue
+			}
+			//lightpath:hotloop
+			for i := range cells {
+				ctx.claim(&cells[i], stamp)
+			}
 		}
 		for _, f := range c.Fibers {
-			ctx.fibs = append(ctx.fibs, fibOwner{fib: f, id: c.ID})
+			if cell := ctx.fiberCell(f); cell != nil {
+				ctx.claim(cell, stamp)
+			} else {
+				out = append(out, fmt.Sprintf("circuit %d fiber %v lies outside the rack's fiber grid", c.ID, f))
+			}
 		}
-	}
-	sort.Sort(segsByBus(ctx.segs))
-	// reach is the earlier same-bus segment extending farthest right;
-	// any later segment starting at or before reach.Hi overlaps it.
-	var reach segOwner
-	for i, so := range ctx.segs {
-		if i == 0 || !sameBus(reach.seg, so.seg) {
-			reach = so
-			continue
-		}
-		if so.seg.Ref.Span.Lo <= reach.seg.Ref.Span.Hi && so.id != reach.id {
-			out = sharePair(out, reach.id, so.id)
-		}
-		if so.seg.Ref.Span.Hi > reach.seg.Ref.Span.Hi {
-			reach = so
-		}
-	}
-	sort.Sort(fibsByRef(ctx.fibs))
-	for i := 1; i < len(ctx.fibs); i++ {
-		prev, cur := ctx.fibs[i-1], ctx.fibs[i]
-		if prev.fib == cur.fib && prev.id != cur.id {
-			out = sharePair(out, prev.id, cur.id)
+		// Earlier slots hold lower IDs, so each pair prints in order.
+		for _, p := range ctx.partners {
+			out = append(out, fmt.Sprintf("circuits %d and %d share a bus segment or fiber", ctx.circuits[p].ID, c.ID))
 		}
 	}
 	return out
@@ -281,24 +284,12 @@ func checkBusConservation(a *route.Allocator, ctx *checkCtx) []string {
 	return out
 }
 
-// grownZeroed returns buf resized to n with every element zero.
-func grownZeroed(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
 func checkFiberConservation(a *route.Allocator, ctx *checkCtx) []string {
 	var out []string
 	rack := a.Rack()
 	cfg := rack.Config()
 	rows := cfg.Rows
-	ctx.perRow = grownZeroed(ctx.perRow, rack.NumTrunks()*rows)
+	ctx.perRow = append(ctx.perRow[:0], make([]int, rack.NumTrunks()*rows)...)
 	fibers := 0
 	for _, c := range ctx.circuits {
 		fibers += len(c.Fibers)
@@ -328,8 +319,8 @@ func checkEndpointConservation(a *route.Allocator, ctx *checkCtx) []string {
 	var out []string
 	rack := a.Rack()
 	chips := rack.NumChips()
-	ctx.lasers = grownZeroed(ctx.lasers, chips)
-	ctx.ports = grownZeroed(ctx.ports, chips)
+	ctx.lasers = append(ctx.lasers[:0], make([]int, chips)...)
+	ctx.ports = append(ctx.ports[:0], make([]int, chips)...)
 	for _, c := range ctx.circuits {
 		for _, ep := range [2]int{c.A, c.B} {
 			if ep >= 0 && ep < chips {

@@ -3,7 +3,7 @@ package route
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lightpath/internal/phy"
 	"lightpath/internal/rng"
@@ -38,7 +38,9 @@ type Allocator struct {
 	// is preferred (shortest path).
 	PackFibers bool
 
-	circuits map[int]*Circuit
+	// circuits is the circuit table in ascending ID order: IDs are
+	// issued monotonically, so commit appends and lookups binary-search.
+	circuits []*Circuit
 	nextID   int
 	// fibersUsed mirrors the rack's fiber occupancy per (trunk, row)
 	// so the packing heuristic can rank rows cheaply.
@@ -111,7 +113,6 @@ func NewAllocator(rack *wafer.Rack, r *rng.Rand) *Allocator {
 		rack:       rack,
 		loss:       phy.NewLossModel(r),
 		Budget:     phy.DefaultBudget(),
-		circuits:   make(map[int]*Circuit),
 		fibersUsed: make(map[fiberRowKey]int),
 	}
 	// Precompute the shortest-path fiber-row preference order for every
@@ -171,26 +172,19 @@ func (a *Allocator) Circuits() []*Circuit {
 }
 
 // NumCircuits returns the live circuit count without materializing
-// the sorted slice.
+// the slice.
 func (a *Allocator) NumCircuits() int { return len(a.circuits) }
-
-// byID orders circuits by ID for the append-style accessors.
-type byID []*Circuit
-
-func (s byID) Len() int           { return len(s) }
-func (s byID) Less(i, j int) bool { return s[i].ID < s[j].ID }
-func (s byID) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // AppendCircuits appends the established circuits to dst in ID order
 // and returns the extended slice. It is the allocation-free (given
 // capacity) form of Circuits for callers that audit on a hot path.
 func (a *Allocator) AppendCircuits(dst []*Circuit) []*Circuit {
-	start := len(dst)
-	for _, c := range a.circuits {
-		dst = append(dst, c)
-	}
-	sort.Sort(byID(dst[start:]))
-	return dst
+	return append(dst, a.circuits...)
+}
+
+// circuitIndex binary-searches the table for id.
+func (a *Allocator) circuitIndex(id int) (int, bool) {
+	return slices.BinarySearchFunc(a.circuits, id, func(c *Circuit, id int) int { return c.ID - id })
 }
 
 // planStep is one bus span a candidate path wants.
@@ -555,7 +549,7 @@ func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, e
 	}
 	c.setPath(segs, fibers)
 	a.nextID++
-	a.circuits[c.ID] = c
+	a.circuits = append(a.circuits, c)
 	return c, nil
 }
 
@@ -567,12 +561,13 @@ func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, e
 // check is by pointer, not ID, so a clone's circuit with a coinciding
 // ID cannot free this allocator's resources.
 func (a *Allocator) Release(c *Circuit) {
-	if cur, ok := a.circuits[c.ID]; !ok || cur != c {
+	i, ok := a.circuitIndex(c.ID)
+	if !ok || a.circuits[i] != c {
 		return
 	}
 	a.beginOp()
 	defer a.endOp("release")
-	delete(a.circuits, c.ID)
+	a.circuits = slices.Delete(a.circuits, i, i+1)
 	for _, s := range c.Segments {
 		a.rack.Wafer(s.Wafer).FreeBus(s.Ref)
 	}

@@ -135,7 +135,7 @@ func (a *Allocator) FailFiberRow(trunk, row int) []*Circuit {
 	a.failedRows[key] = true
 
 	var affected []*Circuit
-	for _, c := range a.Circuits() {
+	for _, c := range a.circuits {
 		for _, f := range c.Fibers {
 			if f.Trunk == trunk && f.Row == row {
 				affected = append(affected, c)

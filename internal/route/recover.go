@@ -146,7 +146,7 @@ func (a *Allocator) checkChip(chip int) error {
 // chip, in ID order.
 func (a *Allocator) CircuitsAt(chip int) []*Circuit {
 	var out []*Circuit
-	for _, c := range a.Circuits() {
+	for _, c := range a.circuits {
 		if c.A == chip || c.B == chip {
 			out = append(out, c)
 		}
@@ -159,7 +159,7 @@ func (a *Allocator) CircuitsAt(chip int) []*Circuit {
 func (a *Allocator) CircuitsOverSegment(waferIdx int, horizontal bool, lane, pos int) []*Circuit {
 	o := orientOf(horizontal)
 	var out []*Circuit
-	for _, c := range a.Circuits() {
+	for _, c := range a.circuits {
 		for _, s := range c.Segments {
 			if s.Wafer == waferIdx && s.Ref.Orient == o && s.Ref.Lane == lane &&
 				s.Ref.Span.Lo <= pos && pos <= s.Ref.Span.Hi {

@@ -38,14 +38,9 @@ func (a *Allocator) EncodeState(e *snapshot.Encoder) {
 	}
 
 	e.Int(a.nextID)
-	ids := make([]int, 0, len(a.circuits))
-	for id := range a.circuits {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	e.Len(len(ids))
-	for _, id := range ids {
-		encodeCircuit(e, a.circuits[id])
+	e.Len(len(a.circuits))
+	for _, c := range a.circuits {
+		encodeCircuit(e, c)
 	}
 
 	keys := make([]fiberRowKey, 0, len(a.fibersUsed))
@@ -104,7 +99,7 @@ func (a *Allocator) RestoreState(d *snapshot.Decoder) error {
 
 	a.nextID = d.Int()
 	n := d.Len()
-	a.circuits = make(map[int]*Circuit, n)
+	a.circuits = make([]*Circuit, 0, n)
 	for i := 0; i < n; i++ {
 		c := decodeCircuit(d)
 		if d.Err() != nil {
@@ -114,10 +109,13 @@ func (a *Allocator) RestoreState(d *snapshot.Decoder) error {
 			return fmt.Errorf("%w: circuit ID %d outside [0, %d)",
 				snapshot.ErrCorruptSnapshot, c.ID, a.nextID)
 		}
-		if _, dup := a.circuits[c.ID]; dup {
-			return fmt.Errorf("%w: duplicate circuit ID %d", snapshot.ErrCorruptSnapshot, c.ID)
+		// The table is written in ascending ID order; anything else
+		// (a duplicate included) would break its binary search.
+		if i > 0 && c.ID <= a.circuits[i-1].ID {
+			return fmt.Errorf("%w: circuit ID %d does not follow %d",
+				snapshot.ErrCorruptSnapshot, c.ID, a.circuits[i-1].ID)
 		}
-		a.circuits[c.ID] = c
+		a.circuits = append(a.circuits, c)
 	}
 
 	n = d.Len()
@@ -165,8 +163,11 @@ func (a *Allocator) RestoreState(d *snapshot.Decoder) error {
 // allocator's own circuit objects — Release compares pointers, so a
 // copy would not do.
 func (a *Allocator) CircuitByID(id int) (*Circuit, bool) {
-	c, ok := a.circuits[id]
-	return c, ok
+	i, ok := a.circuitIndex(id)
+	if !ok {
+		return nil, false
+	}
+	return a.circuits[i], true
 }
 
 func fiberRowKeyLess(a, b fiberRowKey) bool {

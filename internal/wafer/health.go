@@ -17,13 +17,6 @@ import (
 // infeasibility circuit by circuit.
 const SeveredSegmentDB = 20.0
 
-// segKey identifies one tile position of one bus lane.
-type segKey struct {
-	o    Orient
-	lane int
-	pos  int
-}
-
 // FailChip marks the tile's stacked accelerator chip as failed. The
 // photonic substrate underneath keeps working — circuits may still
 // pass through the tile's buses — but the chip can no longer terminate
@@ -108,50 +101,102 @@ func (s *Switch13) Stuck() bool { return s.stuck }
 // defect model is a contaminated routing region, not a single
 // waveguide). Losses accumulate across repeated faults.
 func (w *Wafer) DegradeSegment(o Orient, lane, pos int, extraDB float64) error {
-	if _, err := w.lane(o, lane); err != nil {
+	i, err := w.degradedIndex(o, lane, pos)
+	if err != nil {
 		return err
-	}
-	limit := w.cfg.Cols
-	if o == Vertical {
-		limit = w.cfg.Rows
-	}
-	if pos < 0 || pos >= limit {
-		return fmt.Errorf("wafer: %s lane %d position %d out of range [0, %d)", o, lane, pos, limit)
 	}
 	if extraDB < 0 {
 		return fmt.Errorf("wafer: negative degradation %g dB", extraDB)
 	}
-	if w.degraded == nil {
-		w.degraded = make(map[segKey]float64)
-	}
-	w.degraded[segKey{o: o, lane: lane, pos: pos}] += extraDB
+	w.markDegraded(i)
+	w.degraded[i] += extraDB
 	return nil
+}
+
+// markDegraded records dense position i as degraded, allocating the
+// arrays on the wafer's first fault.
+func (w *Wafer) markDegraded(i int) {
+	if w.degraded == nil {
+		n := 2 * w.cfg.Tiles()
+		w.degraded = make([]float64, n)
+		w.degradedSet = make([]bool, n)
+	}
+	if !w.degradedSet[i] {
+		w.degradedSet[i] = true
+		w.numDegraded++
+	}
 }
 
 // RepairSegment clears all fault-induced extra loss at one tile
 // position of a bus lane — the contaminated region is re-worked.
 // Repairing an undegraded position is a no-op.
 func (w *Wafer) RepairSegment(o Orient, lane, pos int) error {
-	if _, err := w.lane(o, lane); err != nil {
+	i, err := w.degradedIndex(o, lane, pos)
+	if err != nil {
 		return err
 	}
-	limit := w.cfg.Cols
-	if o == Vertical {
-		limit = w.cfg.Rows
+	if w.degraded != nil && w.degradedSet[i] {
+		w.degraded[i] = 0
+		w.degradedSet[i] = false
+		w.numDegraded--
 	}
-	if pos < 0 || pos >= limit {
-		return fmt.Errorf("wafer: %s lane %d position %d out of range [0, %d)", o, lane, pos, limit)
-	}
-	delete(w.degraded, segKey{o: o, lane: lane, pos: pos})
 	return nil
+}
+
+// degradedIndex validates one bus-lane position and returns its index
+// in the dense degradation arrays.
+func (w *Wafer) degradedIndex(o Orient, lane, pos int) (int, error) {
+	if _, err := w.lane(o, lane); err != nil {
+		return 0, err
+	}
+	base, limit, _ := w.laneSlots(o, lane)
+	if pos < 0 || pos >= limit {
+		return 0, fmt.Errorf("wafer: %s lane %d position %d out of range [0, %d)", o, lane, pos, limit)
+	}
+	return base + pos, nil
+}
+
+// laneSlots returns where a lane's positions start in the dense
+// degradation arrays and how many it has; ok is false for a lane the
+// wafer does not have.
+func (w *Wafer) laneSlots(o Orient, lane int) (base, limit int, ok bool) {
+	switch {
+	case o == Horizontal && lane >= 0 && lane < w.cfg.Rows:
+		return lane * w.cfg.Cols, w.cfg.Cols, true
+	case o == Vertical && lane >= 0 && lane < w.cfg.Cols:
+		return w.cfg.Tiles() + lane*w.cfg.Rows, w.cfg.Rows, true
+	}
+	return 0, 0, false
+}
+
+// degradedPosition inverts degradedIndex.
+func (w *Wafer) degradedPosition(i int) (o Orient, lane, pos int) {
+	if tiles := w.cfg.Tiles(); i >= tiles {
+		i -= tiles
+		return Vertical, i / w.cfg.Rows, i % w.cfg.Rows
+	}
+	return Horizontal, i / w.cfg.Cols, i % w.cfg.Cols
+}
+
+// spanDegradation returns the dense degradation values of the span's
+// positions, clipped to the lane. It is nil when nothing on the wafer
+// is degraded or the lane does not exist: positions off the grid carry
+// no loss.
+func (w *Wafer) spanDegradation(o Orient, lane int, span Interval) []float64 {
+	base, limit, ok := w.laneSlots(o, lane)
+	lo, hi := max(span.Lo, 0), min(span.Hi, limit-1)
+	if w.numDegraded == 0 || !ok || lo > hi {
+		return nil
+	}
+	return w.degraded[base+lo : base+hi+1]
 }
 
 // SpanExtraLossDB sums the fault-induced extra loss a circuit crossing
 // the span of the lane would pay.
 func (w *Wafer) SpanExtraLossDB(o Orient, lane int, span Interval) float64 {
 	total := 0.0
-	for pos := span.Lo; pos <= span.Hi; pos++ {
-		total += w.degraded[segKey{o: o, lane: lane, pos: pos}]
+	for _, db := range w.spanDegradation(o, lane, span) {
+		total += db
 	}
 	return total
 }
@@ -159,8 +204,8 @@ func (w *Wafer) SpanExtraLossDB(o Orient, lane int, span Interval) float64 {
 // SpanSevered reports whether any position of the span has degraded
 // past SeveredSegmentDB and must be pruned from pathfinding.
 func (w *Wafer) SpanSevered(o Orient, lane int, span Interval) bool {
-	for pos := span.Lo; pos <= span.Hi; pos++ {
-		if w.degraded[segKey{o: o, lane: lane, pos: pos}] >= SeveredSegmentDB {
+	for _, db := range w.spanDegradation(o, lane, span) {
+		if db >= SeveredSegmentDB {
 			return true
 		}
 	}
@@ -172,7 +217,7 @@ func (w *Wafer) SpanSevered(o Orient, lane int, span Interval) bool {
 //
 // Rack.Health aggregates it; it is public as the per-component view
 // behind that summary.
-func (w *Wafer) DegradedSegments() int { return len(w.degraded) }
+func (w *Wafer) DegradedSegments() int { return w.numDegraded }
 
 // HealthReport summarizes a rack's component health for dashboards
 // and experiment output.

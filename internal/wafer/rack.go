@@ -42,6 +42,9 @@ type Rack struct {
 	// FibersPerEdge fibers per tile row. A chain has N-1 trunks; a
 	// ring has N.
 	trunks []*fiberTrunk
+	// chips[i] is chip i's tile: the wafers' row-major tiles in wafer
+	// order, so TileOf is one index.
+	chips []*Tile
 }
 
 type fiberTrunk struct {
@@ -88,6 +91,7 @@ func NewRackTopology(cfg Config, numWafers int, topo Topology) (*Rack, error) {
 			return nil, err
 		}
 		r.wafers = append(r.wafers, w)
+		r.chips = append(r.chips, w.tiles...)
 	}
 	numTrunks := numWafers - 1
 	if topo == RingTopology && numWafers >= 2 {
@@ -147,8 +151,10 @@ func (r *Rack) ChipAt(waferIdx, row, col int) int {
 
 // TileOf returns the tile hosting a chip.
 func (r *Rack) TileOf(chip int) *Tile {
-	w, row, col := r.Place(chip)
-	return r.wafers[w].Tile(row, col)
+	if chip < 0 || chip >= len(r.chips) {
+		panic(fmt.Sprintf("wafer: chip %d out of range [0, %d)", chip, len(r.chips)))
+	}
+	return r.chips[chip]
 }
 
 // AllocFiber occupies one free fiber on the given trunk at the given

@@ -48,10 +48,9 @@ func (w *Wafer) Clone() *Wafer {
 		c.vLanes[i] = l.clone()
 	}
 	if w.degraded != nil {
-		c.degraded = make(map[segKey]float64, len(w.degraded))
-		for k, v := range w.degraded {
-			c.degraded[k] = v
-		}
+		c.degraded = append([]float64(nil), w.degraded...)
+		c.degradedSet = append([]bool(nil), w.degradedSet...)
+		c.numDegraded = w.numDegraded
 	}
 	return c
 }
@@ -63,8 +62,10 @@ func (w *Wafer) Clone() *Wafer {
 func (r *Rack) Clone() *Rack {
 	c := &Rack{cfg: r.cfg, topology: r.topology}
 	c.wafers = make([]*Wafer, len(r.wafers))
+	c.chips = make([]*Tile, 0, len(r.chips))
 	for i, w := range r.wafers {
 		c.wafers[i] = w.Clone()
+		c.chips = append(c.chips, c.wafers[i].tiles...)
 	}
 	c.trunks = make([]*fiberTrunk, len(r.trunks))
 	for i, t := range r.trunks {

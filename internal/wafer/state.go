@@ -2,7 +2,6 @@ package wafer
 
 import (
 	"fmt"
-	"sort"
 
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
@@ -13,9 +12,8 @@ import (
 // fleet checkpoint. Geometry is NOT serialized: a resume rebuilds the
 // rack from its Config and then replays this state into it, so the
 // snapshot stays small and the constructor remains the single source
-// of structural truth. Every map is written in sorted key order; a
-// snapshot is part of a byte-identical-resume contract, so nothing
-// may depend on Go's map iteration order.
+// of structural truth. Everything is written in a fixed index order; a
+// snapshot is part of a byte-identical-resume contract.
 
 // EncodeState appends the rack's mutable state to the encoder.
 func (r *Rack) EncodeState(e *snapshot.Encoder) {
@@ -78,27 +76,18 @@ func (w *Wafer) encodeState(e *snapshot.Encoder) {
 	}
 	encodeLanes(e, w.hLanes)
 	encodeLanes(e, w.vLanes)
-	// Fault-induced degradation, in sorted key order.
-	keys := make([]segKey, 0, len(w.degraded))
-	for k := range w.degraded {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.o != b.o {
-			return a.o < b.o
+	// Fault-induced degradation, in (orientation, lane, position)
+	// order — the dense layout's own order, since 'H' < 'V'.
+	e.Len(w.numDegraded)
+	for i, set := range w.degradedSet {
+		if !set {
+			continue
 		}
-		if a.lane != b.lane {
-			return a.lane < b.lane
-		}
-		return a.pos < b.pos
-	})
-	e.Len(len(keys))
-	for _, k := range keys {
-		e.Bool(k.o == Horizontal)
-		e.Int(k.lane)
-		e.Int(k.pos)
-		e.F64(w.degraded[k])
+		o, lane, pos := w.degradedPosition(i)
+		e.Bool(o == Horizontal)
+		e.Int(lane)
+		e.Int(pos)
+		e.F64(w.degraded[i])
 	}
 }
 
@@ -116,18 +105,23 @@ func (w *Wafer) restoreState(d *snapshot.Decoder) error {
 	if err := restoreLanes(d, w.vLanes); err != nil {
 		return err
 	}
-	w.degraded = nil
+	w.degraded, w.degradedSet, w.numDegraded = nil, nil, 0
 	n := d.Len()
-	if n > 0 {
-		w.degraded = make(map[segKey]float64, n)
-	}
 	for i := 0; i < n; i++ {
 		o := Vertical
 		if d.Bool() {
 			o = Horizontal
 		}
-		k := segKey{o: o, lane: d.Int(), pos: d.Int()}
-		w.degraded[k] = d.F64()
+		lane, pos, db := d.Int(), d.Int(), d.F64()
+		if d.Err() != nil {
+			return d.Err()
+		}
+		at, err := w.degradedIndex(o, lane, pos)
+		if err != nil {
+			return fmt.Errorf("%w: %v", snapshot.ErrCorruptSnapshot, err)
+		}
+		w.markDegraded(at)
+		w.degraded[at] = db
 	}
 	return d.Err()
 }

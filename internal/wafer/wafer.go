@@ -139,9 +139,15 @@ type Wafer struct {
 	// hLanes[row] and vLanes[col] are the bus lanes.
 	hLanes []*busLane
 	vLanes []*busLane
-	// degraded maps bus-lane positions to fault-induced extra loss in
-	// dB (see health.go); nil until the first fault.
-	degraded map[segKey]float64
+	// degraded holds the fault-induced extra loss in dB of every
+	// bus-lane position (see health.go), dense: the horizontal lanes'
+	// positions row-major, then the vertical lanes'. degradedSet marks
+	// the positions a fault has touched (a 0 dB fault included) and
+	// numDegraded counts them. Both slices are nil until the first
+	// fault.
+	degraded    []float64
+	degradedSet []bool
+	numDegraded int
 }
 
 // New constructs a wafer from the configuration.
