@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -9,76 +10,116 @@ import (
 )
 
 // DefaultStride is how many mutations a Sampled auditor lets pass
-// between full audits.
-const DefaultStride = 16
+// between periodic full passes. It is chosen so the amortized full pass
+// costs no more than a delta check: a pass over the controller
+// campaign's ~110 circuits takes ~25 µs, and 25 µs / 256 ≈ 0.1 µs per
+// mutation against 0.3 µs or more for the delta check itself
+// (DESIGN.md, "Cost model of one delta check").
+const DefaultStride = 256
 
 // maxRecorded bounds the violations an auditor retains verbatim; the
 // count keeps climbing past it so a runaway defect cannot exhaust
 // memory with repeated reports.
 const maxRecorded = 64
 
-// Auditor runs the invariant registry against one allocator. It is
+// agreement names the violation a Paranoid auditor reports when its
+// delta check names an invariant the full pass does not: a defect of
+// the auditor, not of the audited state.
+const agreement = "auditor-agreement"
+
+// Auditor checks one allocator against the invariant registry. It is
 // attached through the allocator's audit hook, so it observes every
-// completed top-level mutation; Audit runs a pass on demand.
+// completed top-level mutation; Audit runs a full pass on demand.
 // An Auditor is not safe for concurrent use — like the allocator it
 // watches, it belongs to a single trial.
 type Auditor struct {
-	alloc     *route.Allocator
-	mode      Mode
-	stride    int
-	mutations int
-	audits    int
-	count     int
-	recorded  []Violation
-	// ctx is the audit loop's reusable working storage; a clean pass
-	// over a warm auditor allocates nothing.
-	ctx checkCtx
+	alloc      *route.Allocator
+	mode       Mode
+	mutations  int
+	audits     int
+	fullPasses int
+	count      int
+	recorded   []Violation
+	// sh is the shadow both check paths share. It is built lazily by
+	// the first full pass, so Attach allocates nothing for it, and a
+	// warm auditor checks without allocating.
+	sh shadow
 }
 
 // Attach builds an auditor in the given mode and registers it as the
 // allocator's audit hook (except in Off mode, which leaves the hook
 // untouched so the hot path stays a nil check).
 func Attach(a *route.Allocator, mode Mode) *Auditor {
-	d := &Auditor{alloc: a, mode: mode, stride: DefaultStride}
+	d := &Auditor{alloc: a, mode: mode}
 	if mode != Off {
 		a.SetAuditHook(d.Mutated)
 	}
 	return d
 }
 
-// Mutated notes one completed top-level mutation and, depending on
-// the mode, runs the registry. It is the function Attach installs as
-// the allocator's audit hook; a caller that wraps the hook (to time
-// audits, say) forwards to it.
+// Mutated checks one completed top-level mutation as the mode directs.
+// It is the function Attach installs as the allocator's audit hook; a
+// caller that wraps the hook (to time audits, say) forwards to it, and
+// must forward every mutation: a delta check assumes the shadow has
+// seen all of them.
 func (d *Auditor) Mutated(op string) {
 	d.mutations++
-	switch d.mode {
-	case Paranoid:
-	case Sampled:
-		if d.mutations%d.stride != 0 {
-			return
-		}
-	default:
+	if d.mode != Sampled && d.mode != Paranoid {
 		return
 	}
-	d.run(op)
+	d.audits++
+	j := d.alloc.Journal()
+	if !d.sh.valid || j.Wide || (d.mode == Sampled && d.mutations%DefaultStride == 0) {
+		d.record(d.full(op))
+		return
+	}
+	if !d.sh.apply(d.alloc, j) {
+		d.record(d.full(op))
+		return
+	}
+	delta := d.sh.collect(op)
+	if d.mode == Sampled {
+		d.record(delta)
+		return
+	}
+	full := d.full(op)
+	d.record(full)
+	d.record(disagreements(op, delta, full))
 }
 
-// Audit runs the full registry immediately, regardless of mode, and
-// returns the violations found by this pass.
-func (d *Auditor) Audit(op string) []Violation { return d.run(op) }
-
-func (d *Auditor) run(op string) []Violation {
-	d.audits++
-	var fresh []Violation
-	d.ctx.load(d.alloc)
-	for _, inv := range registry {
-		for _, detail := range inv.check(d.alloc, &d.ctx) {
-			fresh = append(fresh, Violation{Invariant: inv.name, Op: op, Detail: detail})
+// disagreements reports each delta violation whose invariant the full
+// pass over the same state does not name.
+func disagreements(op string, delta, full []Violation) []Violation {
+	var out []Violation
+	for _, v := range delta {
+		if !slices.ContainsFunc(full, func(f Violation) bool { return f.Invariant == v.Invariant }) {
+			out = append(out, Violation{Invariant: agreement, Op: op,
+				Detail: fmt.Sprintf("delta check reported %s, the full pass did not", v)})
 		}
 	}
+	return out
+}
+
+// Audit runs a full pass immediately, regardless of mode, and returns
+// the violations it found.
+func (d *Auditor) Audit(op string) []Violation {
+	d.audits++
+	fresh := d.full(op)
+	d.record(fresh)
+	return fresh
+}
+
+// full runs the full pass, rebuilding the shadow.
+func (d *Auditor) full(op string) []Violation {
+	d.fullPasses++
+	d.sh.rebuild(d.alloc)
+	return d.sh.collect(op)
+}
+
+// record tallies fresh violations on the auditor and process-wide.
+func (d *Auditor) record(fresh []Violation) {
 	if len(fresh) == 0 {
-		return nil
+		return
 	}
 	d.count += len(fresh)
 	if room := maxRecorded - len(d.recorded); room > 0 {
@@ -89,20 +130,14 @@ func (d *Auditor) run(op string) []Violation {
 		d.recorded = append(d.recorded, fresh[:n]...)
 	}
 	recordGlobal(fresh)
-	return fresh
 }
 
 // Count returns the total violations found over the auditor's life.
 func (d *Auditor) Count() int { return d.count }
 
-// Audits returns how many full registry passes have run.
+// Audits returns how many mutations (and on-demand Audit calls) the
+// auditor has checked.
 func (d *Auditor) Audits() int { return d.audits }
-
-// Violations returns a copy of the retained violations (at most
-// maxRecorded; Count reports the true total).
-func (d *Auditor) Violations() []Violation {
-	return append([]Violation(nil), d.recorded...)
-}
 
 // Err returns nil when the auditor has seen no violation, and
 // otherwise an error wrapping ErrViolated that names the first one.

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"lightpath/internal/chaos"
 	"lightpath/internal/rng"
 	"lightpath/internal/route"
 	"lightpath/internal/wafer"
@@ -196,9 +195,9 @@ func TestDisjointnessMatchesPairwiseOracle(t *testing.T) {
 				sharing = sharing || c.SharesResources(o)
 			}
 		}
-		var ctx checkCtx
-		ctx.load(a)
-		verdict := checkDisjointness(a, &ctx)
+		var sh shadow
+		sh.rebuild(a)
+		verdict := slices.Clone(sh.found[invDisjoint])
 		if got, want := len(verdict) > 0, sharing || off; got != want {
 			t.Fatalf("seed %d after %v: verdict %v, oracle sharing=%v off-grid=%v", seed, applied, verdict, sharing, off)
 		}
@@ -226,8 +225,8 @@ func TestDisjointnessMatchesPairwiseOracle(t *testing.T) {
 // TestDisjointnessSurvivesEpochWrap runs a pass across the epoch
 // counter's wrap. The grids must be cleared there: the pass after the
 // wrap reuses the first pass's epoch number, and that pass's stamps —
-// left by the same circuits in other table slots — would read as
-// collisions.
+// left by circuits released since, under cells new circuits hold —
+// would read as collisions.
 func TestDisjointnessSurvivesEpochWrap(t *testing.T) {
 	rack, err := wafer.NewRack(wafer.DefaultConfig(), 2)
 	if err != nil {
@@ -235,15 +234,19 @@ func TestDisjointnessSurvivesEpochWrap(t *testing.T) {
 	}
 	a := route.NewAllocator(rack, nil)
 	establishRandom(t, a, rng.New(5), 40, 2)
-	var ctx checkCtx
-	ctx.load(a)
-	if v := checkDisjointness(a, &ctx); len(v) != 0 || ctx.epoch != 1 {
-		t.Fatalf("first pass: epoch %d, violations %v", ctx.epoch, v)
+	var sh shadow
+	sh.rebuild(a)
+	if v := sh.collect("first"); len(v) != 0 || sh.epoch != 1 {
+		t.Fatalf("first pass: epoch %d, violations %v", sh.epoch, v)
 	}
-	slices.Reverse(ctx.circuits)
-	ctx.epoch = ^uint32(0)
-	if v := checkDisjointness(a, &ctx); len(v) != 0 || ctx.epoch != 1 {
-		t.Fatalf("pass after the wrap: epoch %d, violations %v", ctx.epoch, v)
+	for _, c := range a.Circuits() {
+		a.Release(c)
+	}
+	establishRandom(t, a, rng.New(6), 40, 2)
+	sh.epoch = epochLimit - 1
+	sh.rebuild(a)
+	if v := sh.collect("wrap"); len(v) != 0 || sh.epoch != 1 {
+		t.Fatalf("pass after the wrap: epoch %d, violations %v", sh.epoch, v)
 	}
 }
 
@@ -253,15 +256,7 @@ func TestDisjointnessSurvivesEpochWrap(t *testing.T) {
 // metrics pin the fixture (live circuits, bus segments, fibers); ns/audit
 // is the pass's cost.
 func BenchmarkAuditPass(b *testing.B) {
-	rack, err := wafer.NewRack(wafer.DefaultConfig(), 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := route.NewAllocator(rack, rng.New(2024))
-	establishRandom(b, a, rng.New(2024), 110, 2)
-	if _, err := a.ApplyFault(chaos.Fault{Class: chaos.WaveguideLoss, Wafer: 0, Horizontal: true, Lane: 1, Pos: 3, ExtraLossDB: 1}); err != nil {
-		b.Fatal(err)
-	}
+	a := auditPassFixture(b)
 	aud := Attach(a, Off)
 	if vs := aud.Audit("warm"); len(vs) != 0 {
 		b.Fatalf("fixture violates invariants: %v", vs)

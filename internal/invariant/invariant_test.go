@@ -10,10 +10,10 @@ import (
 )
 
 // auditFixture builds a two-wafer rack with a few established
-// circuits and a detached auditor (no hook): the corruption tests
-// drive Audit explicitly so each one observes exactly the state it
-// sabotaged.
-func auditFixture(t *testing.T) (*route.Allocator, *Auditor) {
+// circuits and an auditor in the given mode. An Off auditor is
+// detached (no hook): the corruption tests drive Audit explicitly so
+// each one observes exactly the state it sabotaged.
+func auditFixture(t *testing.T, mode Mode) (*route.Allocator, *Auditor) {
 	t.Helper()
 	rack, err := wafer.NewRack(wafer.DefaultConfig(), 2)
 	if err != nil {
@@ -24,13 +24,26 @@ func auditFixture(t *testing.T) (*route.Allocator, *Auditor) {
 		{A: 0, B: 5, Width: 2},
 		{A: 1, B: 40, Width: 3}, // cross-wafer: exercises fibers
 		{A: 9, B: 12, Width: 1},
+		{A: 0, B: 30, Width: 1}, // shares chip 0 with the first circuit
 	} {
 		if _, err := a.Establish(req, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	t.Cleanup(ResetGlobal)
-	return a, Attach(a, Off)
+	return a, Attach(a, mode)
+}
+
+// circuitBetween returns the established circuit joining two chips.
+func circuitBetween(t *testing.T, a *route.Allocator, chipA, chipB int) *route.Circuit {
+	t.Helper()
+	for _, c := range a.Circuits() {
+		if c.A == chipA && c.B == chipB {
+			return c
+		}
+	}
+	t.Fatalf("no circuit %d<->%d", chipA, chipB)
+	return nil
 }
 
 // firstCircuit returns a deterministic established circuit.
@@ -50,7 +63,7 @@ func firstCircuit(t *testing.T, a *route.Allocator) *route.Circuit {
 }
 
 func TestAuditCleanStateFindsNothing(t *testing.T) {
-	_, aud := auditFixture(t)
+	_, aud := auditFixture(t, Off)
 	if vs := aud.Audit("fixture"); len(vs) != 0 {
 		t.Fatalf("clean state reported violations: %v", vs)
 	}
@@ -59,13 +72,27 @@ func TestAuditCleanStateFindsNothing(t *testing.T) {
 	}
 }
 
+// releaseBetween is a follow-up mutation releasing the circuit that
+// joins two chips.
+func releaseBetween(chipA, chipB int) func(t *testing.T, a *route.Allocator) {
+	return func(t *testing.T, a *route.Allocator) {
+		a.Release(circuitBetween(t, a, chipA, chipB))
+	}
+}
+
 // corruptions sabotages the shared state one invariant at a time,
 // entirely behind the allocator's back, and names the registered
-// invariant that must catch it.
+// invariant a full pass must catch it under. follow is a mutation
+// whose footprint covers the sabotaged circuit, chip or switch, and
+// deltaInvariant what the delta check of that mutation must report:
+// the same invariant, or — where the mutation releases the sabotaged
+// circuit — the imbalance the release leaves behind.
 var corruptions = []struct {
-	name      string
-	invariant string
-	sabotage  func(t *testing.T, a *route.Allocator)
+	name           string
+	invariant      string
+	sabotage       func(t *testing.T, a *route.Allocator)
+	follow         func(t *testing.T, a *route.Allocator)
+	deltaInvariant string
 }{
 	{
 		name:      "zeroed width",
@@ -73,6 +100,9 @@ var corruptions = []struct {
 		sabotage: func(t *testing.T, a *route.Allocator) {
 			firstCircuit(t, a).Width = 0
 		},
+		// The release frees no lasers; the shadow remembers width 2.
+		follow:         releaseBetween(0, 5),
+		deltaInvariant: "endpoint-conservation",
 	},
 	{
 		name:      "dropped segment",
@@ -81,6 +111,8 @@ var corruptions = []struct {
 			c := firstCircuit(t, a)
 			c.Segments = c.Segments[:len(c.Segments)-1]
 		},
+		follow:         releaseBetween(0, 5),
+		deltaInvariant: "bus-conservation",
 	},
 	{
 		name:      "dropped fiber",
@@ -94,6 +126,8 @@ var corruptions = []struct {
 			}
 			t.Fatal("fixture has no cross-wafer circuit")
 		},
+		follow:         releaseBetween(1, 40),
+		deltaInvariant: "fiber-conservation",
 	},
 	{
 		name:      "phantom laser reservation",
@@ -103,6 +137,12 @@ var corruptions = []struct {
 				t.Fatal(err)
 			}
 		},
+		follow: func(t *testing.T, a *route.Allocator) {
+			if _, err := a.Establish(route.Request{A: 20, B: 21, Width: 1}, 0); err != nil {
+				t.Fatal(err)
+			}
+		},
+		deltaInvariant: "endpoint-conservation",
 	},
 	{
 		name:      "chip killed behind the allocator",
@@ -110,6 +150,9 @@ var corruptions = []struct {
 		sabotage: func(t *testing.T, a *route.Allocator) {
 			a.Rack().TileOf(firstCircuit(t, a).A).FailChip()
 		},
+		// Chip 0 still terminates the first circuit afterwards.
+		follow:         releaseBetween(0, 30),
+		deltaInvariant: "budget-health",
 	},
 	{
 		name:      "switch reprogrammed behind the allocator",
@@ -120,6 +163,9 @@ var corruptions = []struct {
 				t.Fatal(err)
 			}
 		},
+		// The released circuit shares chip 0's endpoint switch.
+		follow:         releaseBetween(0, 30),
+		deltaInvariant: "switch-consistency",
 	},
 }
 
@@ -131,7 +177,7 @@ var corruptions = []struct {
 func TestAuditCatchesEveryCorruption(t *testing.T) {
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
-			a, aud := auditFixture(t)
+			a, aud := auditFixture(t, Off)
 			tc.sabotage(t, a)
 			vs := aud.Audit("sabotage")
 			if len(vs) == 0 {
@@ -199,8 +245,11 @@ func TestParanoidHookFiresOnEveryMutation(t *testing.T) {
 	}
 }
 
-// TestSampledModeStrides checks the cheap mode audits every
-// DefaultStride-th mutation instead of all of them.
+// TestSampledModeStrides checks the cheap mode's schedule: every
+// mutation is audited, and the full pass runs exactly on the first
+// mutation after Attach, after every wide operation (here fiber-row
+// failure and restoration) and at every DefaultStride-th mutation —
+// the delta check covers the rest.
 func TestSampledModeStrides(t *testing.T) {
 	rack, err := wafer.NewRack(wafer.DefaultConfig(), 2)
 	if err != nil {
@@ -208,18 +257,43 @@ func TestSampledModeStrides(t *testing.T) {
 	}
 	a := route.NewAllocator(rack, nil)
 	aud := Attach(a, Sampled)
-	for i := 0; i < 2*DefaultStride; i++ {
-		c, err := a.Establish(route.Request{A: 0, B: 5, Width: 1}, 0)
-		if err != nil {
-			t.Fatal(err)
+	full, wide := 0, 0
+	var held *route.Circuit
+	for aud.Mutations() < 2*DefaultStride+2 {
+		m := aud.Mutations() + 1
+		isWide := m%97 == 0 || m%97 == 1 && m > 1
+		switch {
+		case m%97 == 0:
+			a.FailFiberRow(0, 3)
+		case isWide:
+			a.RestoreFiberRow(0, 3)
+		case held == nil:
+			// Same-wafer, so the fiber-row failures never touch it.
+			if held, err = a.Establish(route.Request{A: 0, B: 5, Width: 1}, 0); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			a.Release(held)
+			held = nil
 		}
-		a.Release(c)
+		if aud.Mutations() != m {
+			t.Fatalf("mutation %d not observed (count %d)", m, aud.Mutations())
+		}
+		if m == 1 || isWide || m%DefaultStride == 0 {
+			full++
+		}
+		if isWide {
+			wide++
+		}
+		if aud.FullPasses() != full {
+			t.Fatalf("after mutation %d (wide %v): %d full passes, want %d", m, isWide, aud.FullPasses(), full)
+		}
 	}
-	if aud.Mutations() != 4*DefaultStride {
-		t.Fatalf("observed %d mutations, want %d", aud.Mutations(), 4*DefaultStride)
+	if aud.Audits() != aud.Mutations() {
+		t.Fatalf("sampled mode audited %d of %d mutations", aud.Audits(), aud.Mutations())
 	}
-	if aud.Audits() != 4 {
-		t.Fatalf("sampled mode ran %d audits over %d mutations, want 4", aud.Audits(), 4*DefaultStride)
+	if wide < 4 || aud.Count() != 0 {
+		t.Fatalf("%d wide operations, %d violations", wide, aud.Count())
 	}
 }
 
@@ -231,7 +305,7 @@ func TestRegistryAndModeStrings(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, inv := range registry {
-		if inv.name == "" || inv.doc == "" || inv.check == nil {
+		if inv.name == "" || inv.doc == "" {
 			t.Fatalf("invariant %q incompletely registered", inv.name)
 		}
 		if seen[inv.name] {

@@ -35,6 +35,9 @@ func (d *Auditor) RestoreState(dec *snapshot.Decoder) error {
 	d.mutations = dec.Int()
 	d.audits = dec.Int()
 	d.count = dec.Int()
+	// The shadow described the allocator before its state was
+	// replayed; the next mutation rebuilds it with a full pass.
+	d.sh.valid = false
 	n := dec.Len()
 	d.recorded = nil
 	for i := 0; i < n; i++ {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"lightpath/internal/route"
 	"lightpath/internal/snapshot"
 )
 
@@ -51,5 +52,31 @@ func TestAuditorRestoreRejectsCountWithoutRecord(t *testing.T) {
 	err := (&Auditor{}).RestoreState(snapshot.NewDecoder(e.Bytes()))
 	if !errors.Is(err, snapshot.ErrCorruptSnapshot) {
 		t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
+	}
+}
+
+// TestRestoreRebuildsShadow checks a restored auditor does not trust
+// the shadow it had before: the replayed allocator state may differ,
+// so the next mutation runs a full pass.
+func TestRestoreRebuildsShadow(t *testing.T) {
+	a, aud := auditFixture(t, Sampled)
+	c, err := a.Establish(route.Request{A: 2, B: 3, Width: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Release(c)
+	if aud.FullPasses() != 1 {
+		t.Fatalf("%d full passes over two mutations, want 1", aud.FullPasses())
+	}
+	var e snapshot.Encoder
+	aud.EncodeState(&e)
+	if err := aud.RestoreState(snapshot.NewDecoder(e.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Establish(route.Request{A: 2, B: 3, Width: 1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if aud.FullPasses() != 2 || aud.Count() != 0 {
+		t.Fatalf("after a restore: %d full passes, %d violations; want 2 and 0", aud.FullPasses(), aud.Count())
 	}
 }

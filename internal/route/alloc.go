@@ -60,6 +60,9 @@ type Allocator struct {
 	// layer decides per allocator.
 	auditHook func(op string)
 	mutDepth  int
+	// journal records the footprint of the current (or last completed)
+	// top-level mutation for the audit hook; see Journal.
+	journal Journal
 	// scratch holds the buffers Establish reuses across calls so the
 	// pathfinding hot path stops allocating per circuit. Nothing in it
 	// survives a call; clones start with fresh (zero) scratch.
@@ -143,9 +146,15 @@ func NewAllocator(rack *wafer.Rack, r *rng.Rand) *Allocator {
 // not mutate the allocator.
 func (a *Allocator) SetAuditHook(fn func(op string)) { a.auditHook = fn }
 
-// beginOp/endOp bracket a mutation of shared state; the audit hook
-// fires when the outermost bracket closes.
-func (a *Allocator) beginOp() { a.mutDepth++ }
+// beginOp/endOp bracket a mutation of shared state: the outermost
+// bracket starts a fresh journal, and the audit hook fires when it
+// closes.
+func (a *Allocator) beginOp() {
+	if a.mutDepth == 0 {
+		a.journal.reset()
+	}
+	a.mutDepth++
+}
 
 func (a *Allocator) endOp(op string) {
 	a.mutDepth--
@@ -462,83 +471,30 @@ func (e *noPathError) Unwrap() []error { return []error{ErrNoPath, e.cause} }
 
 // commit attempts to allocate everything a plan needs, rolling back on
 // failure.
-func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, err error) {
+func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (*Circuit, error) {
 	a.beginOp()
 	defer a.endOp("commit")
 	// The path is staged in scratch; only a successful commit copies it
 	// into the circuit (setPath), so failed attempts allocate nothing.
-	segs := a.scratch.segs[:0]
-	fibers := a.scratch.fibers[:0]
-	defer func() {
-		a.scratch.segs = segs[:0]
-		a.scratch.fibers = fibers[:0]
-	}()
-	reservedA, reservedB := false, false
-	defer func() {
-		if err == nil {
-			return
-		}
-		for _, s := range segs {
-			a.rack.Wafer(s.Wafer).FreeBus(s.Ref)
-		}
-		for _, f := range fibers {
-			a.rack.FreeFiber(f)
-			a.trackFiber(f, -1)
-		}
-		if reservedA {
-			a.releaseEndpoint(req.A, req.Width)
-		}
-		if reservedB {
-			a.releaseEndpoint(req.B, req.Width)
-		}
-	}()
-
-	// Severed bus segments and stuck switches are hard health failures:
-	// prune the plan before allocating anything so the rollback path
-	// never has to undo switch programming.
-	for _, st := range p.steps {
-		if a.rack.Wafer(st.wafer).SpanSevered(st.o, st.lane, st.span) {
-			return nil, fmt.Errorf("route: %s lane %d span [%d,%d] on wafer %d crosses a severed segment",
-				st.o, st.lane, st.span.Lo, st.span.Hi, st.wafer)
+	st := commitStage{segs: a.scratch.segs[:0], fibers: a.scratch.fibers[:0]}
+	j := &a.journal
+	nb, nf, nc := len(j.Buses), len(j.Fibers), len(j.Chips)
+	err := a.acquire(req, p, &st)
+	var link phy.LinkReport
+	if err == nil {
+		link = a.evaluate(p, st.segs, st.fibers)
+		if a.CheckBudget && !link.Feasible {
+			err = fmt.Errorf("route: circuit %d<->%d infeasible: %v", req.A, req.B, link)
 		}
 	}
-	for _, su := range a.planSwitches(req, p) {
-		if !su.tile.SwitchHealthy(su.sw) {
-			return nil, fmt.Errorf("route: tile (%d,%d) switch %d is stuck", su.tile.Row, su.tile.Col, su.sw)
-		}
-	}
-
-	for _, st := range p.steps {
-		ref, aerr := a.rack.Wafer(st.wafer).AllocBus(st.o, st.lane, st.span)
-		if aerr != nil {
-			return nil, aerr
-		}
-		segs = append(segs, Segment{Wafer: st.wafer, Ref: ref})
-	}
-	for _, tr := range p.trunks {
-		ref, aerr := a.rack.AllocFiber(tr, p.fiberRow)
-		if aerr != nil {
-			return nil, aerr
-		}
-		fibers = append(fibers, ref)
-		a.trackFiber(ref, +1)
-	}
-	if err = a.reserveEndpoint(req.A, req.Width); err != nil {
+	a.scratch.segs, a.scratch.fibers = st.segs[:0], st.fibers[:0]
+	if err != nil {
+		a.rollback(req, &st)
 		return nil, err
-	}
-	reservedA = true
-	if err = a.reserveEndpoint(req.B, req.Width); err != nil {
-		return nil, err
-	}
-	reservedB = true
-
-	link := a.evaluate(p, segs, fibers)
-	if a.CheckBudget && !link.Feasible {
-		return nil, fmt.Errorf("route: circuit %d<->%d infeasible: %v", req.A, req.B, link)
 	}
 
 	a.programSwitches(req, p, now)
-	c = &Circuit{
+	c := &Circuit{
 		ID:            a.nextID,
 		A:             req.A,
 		B:             req.B,
@@ -547,10 +503,104 @@ func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, e
 		ReadyAt:       now + phy.ReconfigLatency,
 		Link:          link,
 	}
-	c.setPath(segs, fibers)
+	c.setPath(st.segs, st.fibers)
 	a.nextID++
 	a.circuits = append(a.circuits, c)
+	// The circuit carries its own resources; the journal keeps only
+	// what failed attempts touched.
+	j.Buses, j.Fibers, j.Chips = j.Buses[:nb], j.Fibers[:nf], j.Chips[:nc]
+	j.Added = append(j.Added, c)
 	return c, nil
+}
+
+// commitStage is what one commit attempt has allocated so far, for
+// rollback.
+type commitStage struct {
+	segs                 []Segment
+	fibers               []wafer.FiberRef
+	reservedA, reservedB bool
+}
+
+// acquire checks the plan's health and allocates its buses, fibers and
+// endpoint reservations into st, stopping at the first failure. It
+// leaves undoing a partial allocation to rollback; keeping commit free
+// of deferred cleanup keeps its defers cheap.
+func (a *Allocator) acquire(req Request, p plan, st *commitStage) error {
+	// Severed bus segments and stuck switches are hard health failures:
+	// prune the plan before allocating anything so the rollback path
+	// never has to undo switch programming.
+	for _, step := range p.steps {
+		if a.rack.Wafer(step.wafer).SpanSevered(step.o, step.lane, step.span) {
+			return &severedError{step: step}
+		}
+	}
+	for _, su := range a.planSwitches(req, p) {
+		if !su.tile.SwitchHealthy(su.sw) {
+			return &stuckSwitchError{row: su.tile.Row, col: su.tile.Col, sw: su.sw}
+		}
+	}
+
+	for _, step := range p.steps {
+		ref, err := a.rack.Wafer(step.wafer).AllocBus(step.o, step.lane, step.span)
+		if err != nil {
+			return err
+		}
+		st.segs = append(st.segs, Segment{Wafer: step.wafer, Ref: ref})
+		a.journal.Buses = append(a.journal.Buses, st.segs[len(st.segs)-1])
+	}
+	for _, tr := range p.trunks {
+		ref, err := a.rack.AllocFiber(tr, p.fiberRow)
+		if err != nil {
+			return err
+		}
+		st.fibers = append(st.fibers, ref)
+		a.trackFiber(ref, +1)
+		a.journal.Fibers = append(a.journal.Fibers, ref)
+	}
+	if err := a.reserveEndpoint(req.A, req.Width); err != nil {
+		return err
+	}
+	st.reservedA = true
+	if err := a.reserveEndpoint(req.B, req.Width); err != nil {
+		return err
+	}
+	st.reservedB = true
+	return nil
+}
+
+// rollback returns what a failed commit attempt allocated.
+func (a *Allocator) rollback(req Request, st *commitStage) {
+	for _, s := range st.segs {
+		a.rack.Wafer(s.Wafer).FreeBus(s.Ref)
+	}
+	for _, f := range st.fibers {
+		a.rack.FreeFiber(f)
+		a.trackFiber(f, -1)
+	}
+	if st.reservedA {
+		a.releaseEndpoint(req.A, req.Width)
+	}
+	if st.reservedB {
+		a.releaseEndpoint(req.B, req.Width)
+	}
+}
+
+// severedError and stuckSwitchError are commit's health failures. A
+// saturated or faulted fabric rejects many candidate plans per
+// Establish, and the message is read only if a caller formats the
+// final error, so both format lazily. Neither wraps a sentinel.
+type severedError struct{ step planStep }
+
+func (e *severedError) Error() string {
+	st := e.step
+	return fmt.Sprintf("route: %s lane %d span [%d,%d] on wafer %d crosses a severed segment",
+		st.o, st.lane, st.span.Lo, st.span.Hi, st.wafer)
+}
+
+type stuckSwitchError struct{ row, col, sw int }
+
+func (e *stuckSwitchError) Error() string {
+	return fmt.Sprintf("route: tile (%d,%d) switch %d is stuck", e.row, e.col, e.sw)
 }
 
 // Release tears down a circuit and returns its resources. Releasing a
@@ -568,6 +618,7 @@ func (a *Allocator) Release(c *Circuit) {
 	a.beginOp()
 	defer a.endOp("release")
 	a.circuits = slices.Delete(a.circuits, i, i+1)
+	a.journal.Removed = append(a.journal.Removed, c)
 	for _, s := range c.Segments {
 		a.rack.Wafer(s.Wafer).FreeBus(s.Ref)
 	}
@@ -625,9 +676,11 @@ func (a *Allocator) evaluate(p plan, segs []Segment, fibers []wafer.FiberRef) ph
 	return a.Budget.Evaluate(elems)
 }
 
-// switchUse pairs a tile with the switch index a plan programs there.
+// switchUse pairs a tile (and the chip it hosts) with the switch
+// index a plan programs there.
 type switchUse struct {
 	tile *wafer.Tile
+	chip int
 	sw   int
 }
 
@@ -642,8 +695,8 @@ func (a *Allocator) planSwitches(req Request, p plan) []switchUse {
 	uses := a.scratch.uses[:0]
 	defer func() { a.scratch.uses = uses }()
 	uses = append(uses,
-		switchUse{tile: a.rack.TileOf(req.A), sw: 0},
-		switchUse{tile: a.rack.TileOf(req.B), sw: 0},
+		switchUse{tile: a.rack.TileOf(req.A), chip: req.A, sw: 0},
+		switchUse{tile: a.rack.TileOf(req.B), chip: req.B, sw: 0},
 	)
 	//lightpath:hotloop
 	for i := range p.steps {
@@ -659,7 +712,8 @@ func (a *Allocator) planSwitches(req Request, p plan) []switchUse {
 			col = st.lane
 			row = clampToSpan(p.steps[i-1], st)
 		}
-		uses = append(uses, switchUse{tile: a.rack.Wafer(st.wafer).Tile(row, col), sw: 1})
+		tile, chip := a.tileAt(st.wafer, row, col)
+		uses = append(uses, switchUse{tile: tile, chip: chip, sw: 1})
 	}
 	return uses
 }
@@ -677,6 +731,7 @@ func (a *Allocator) programSwitches(req Request, p plan, now unit.Seconds) {
 			port = 0
 		}
 		_ = su.tile.Switches[su.sw].Program(port, now)
+		a.journal.Switches = append(a.journal.Switches, SwitchRef{Chip: su.chip, Switch: su.sw})
 	}
 }
 
@@ -705,10 +760,12 @@ func junction(prevWafer, prevLane, curWafer int, curSpan wafer.Interval) int {
 	return prevLane
 }
 
-// SwitchExpectation pairs a tile with the switch index a circuit's
-// path programs there and the port it must be routed to.
+// SwitchExpectation pairs a tile (and the chip it hosts) with the
+// switch index a circuit's path programs there and the port it must be
+// routed to.
 type SwitchExpectation struct {
 	Tile   *wafer.Tile
+	Chip   int
 	Switch int
 	Port   int
 }
@@ -723,11 +780,11 @@ type SwitchExpectation struct {
 // slice, so the audit hot path reuses one buffer.
 func (a *Allocator) AppendCircuitSwitches(dst []SwitchExpectation, c *Circuit) []SwitchExpectation {
 	out := append(dst,
-		SwitchExpectation{Tile: a.rack.TileOf(c.A), Switch: 0, Port: 0},
-		SwitchExpectation{Tile: a.rack.TileOf(c.B), Switch: 0, Port: 0},
+		SwitchExpectation{Tile: a.rack.TileOf(c.A), Chip: c.A, Switch: 0, Port: 0},
+		SwitchExpectation{Tile: a.rack.TileOf(c.B), Chip: c.B, Switch: 0, Port: 0},
 	)
 	for i := 1; i < len(c.Segments); i++ {
-		prev, cur := c.Segments[i-1], c.Segments[i]
+		prev, cur := &c.Segments[i-1], &c.Segments[i]
 		var row, col int
 		if cur.Ref.Orient == wafer.Horizontal {
 			row = cur.Ref.Lane
@@ -736,9 +793,17 @@ func (a *Allocator) AppendCircuitSwitches(dst []SwitchExpectation, c *Circuit) [
 			col = cur.Ref.Lane
 			row = junction(prev.Wafer, prev.Ref.Lane, cur.Wafer, cur.Ref.Span)
 		}
-		out = append(out, SwitchExpectation{Tile: a.rack.Wafer(cur.Wafer).Tile(row, col), Switch: 1, Port: 1})
+		tile, chip := a.tileAt(cur.Wafer, row, col)
+		out = append(out, SwitchExpectation{Tile: tile, Chip: chip, Switch: 1, Port: 1})
 	}
 	return out
+}
+
+// tileAt returns the tile at (row, col) of wafer w, panicking off the
+// grid, and the chip it hosts.
+func (a *Allocator) tileAt(w, row, col int) (*wafer.Tile, int) {
+	t := a.rack.Wafer(w).Tile(row, col)
+	return t, a.rack.ChipAt(w, row, col)
 }
 
 // FiberRowUsage returns the allocator's occupancy-mirror count for one
@@ -748,8 +813,14 @@ func (a *Allocator) FiberRowUsage(trunk, row int) int {
 	return a.fibersUsed[fiberRowKey{trunk: trunk, row: row}]
 }
 
+// reserveEndpoint reserves a chip's lasers and port for a circuit
+// endpoint and journals the chip.
 func (a *Allocator) reserveEndpoint(chip, width int) error {
-	return a.rack.TileOf(chip).Reserve(width)
+	if err := a.rack.TileOf(chip).Reserve(width); err != nil {
+		return err
+	}
+	a.journal.Chips = append(a.journal.Chips, chip)
+	return nil
 }
 
 func (a *Allocator) releaseEndpoint(chip, width int) {

@@ -127,6 +127,7 @@ func (d *Decentralized) EstablishBatch(reqs []Request, now unit.Seconds) BatchOu
 func (a *Allocator) FailFiberRow(trunk, row int) []*Circuit {
 	a.beginOp()
 	defer a.endOp("fail-fiber-row")
+	a.journal.Wide = true
 	a.bumpPlanEpoch()
 	key := fiberRowKey{trunk: trunk, row: row}
 	if a.failedRows == nil {
@@ -156,6 +157,7 @@ func (a *Allocator) FailFiberRow(trunk, row int) []*Circuit {
 func (a *Allocator) RestoreFiberRow(trunk, row int) {
 	a.beginOp()
 	defer a.endOp("restore-fiber-row")
+	a.journal.Wide = true
 	a.bumpPlanEpoch()
 	delete(a.failedRows, fiberRowKey{trunk: trunk, row: row})
 }

@@ -24,8 +24,7 @@ import (
 func checkRecoveryInvariants(t *testing.T, a *route.Allocator, aud *invariant.Auditor) {
 	t.Helper()
 	if err := aud.Err(); err != nil {
-		vs := aud.Violations()
-		t.Fatalf("auditor found %d violation(s) after %d audits; first: %s", aud.Count(), aud.Audits(), vs[0])
+		t.Fatalf("auditor found %d violation(s) after %d audits: %v", aud.Count(), aud.Audits(), err)
 	}
 	circuits := a.Circuits()
 	for i, c := range circuits {

@@ -34,6 +34,7 @@ import (
 func (a *Allocator) ApplyFault(f chaos.Fault) ([]*Circuit, error) {
 	a.beginOp()
 	defer a.endOp("apply-fault")
+	a.journal.Wide = true
 	// Any fault class can reshape the viable-plan set (chip and fiber
 	// faults directly; the others via hardware health the plans bake
 	// in conservatively) — invalidate the plan cache wholesale.
@@ -100,6 +101,7 @@ func (a *Allocator) ApplyFault(f chaos.Fault) ([]*Circuit, error) {
 func (a *Allocator) RepairFault(f chaos.Fault) error {
 	a.beginOp()
 	defer a.endOp("repair-fault")
+	a.journal.Wide = true
 	switch f.Class {
 	case chaos.ChipFailure:
 		if err := a.checkChip(f.Chip); err != nil {

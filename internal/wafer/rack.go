@@ -125,7 +125,7 @@ func (r *Rack) NumChips() int { return len(r.wafers) * r.cfg.Tiles() }
 // Wafer returns wafer i.
 func (r *Rack) Wafer(i int) *Wafer {
 	if i < 0 || i >= len(r.wafers) {
-		panic(fmt.Sprintf("wafer: wafer %d out of range [0, %d)", i, len(r.wafers)))
+		r.panicWafer(i)
 	}
 	return r.wafers[i]
 }
@@ -149,10 +149,24 @@ func (r *Rack) ChipAt(waferIdx, row, col int) int {
 	return waferIdx*r.cfg.Tiles() + row*r.cfg.Cols + col
 }
 
+// panicWafer and panicChip are Wafer's and TileOf's failure paths.
+// Formatting out of line keeps both small enough to inline on the
+// routing and audit hot paths.
+//
+//go:noinline
+func (r *Rack) panicWafer(i int) {
+	panic(fmt.Sprintf("wafer: wafer %d out of range [0, %d)", i, len(r.wafers)))
+}
+
+//go:noinline
+func (r *Rack) panicChip(chip int) {
+	panic(fmt.Sprintf("wafer: chip %d out of range [0, %d)", chip, len(r.chips)))
+}
+
 // TileOf returns the tile hosting a chip.
 func (r *Rack) TileOf(chip int) *Tile {
 	if chip < 0 || chip >= len(r.chips) {
-		panic(fmt.Sprintf("wafer: chip %d out of range [0, %d)", chip, len(r.chips)))
+		r.panicChip(chip)
 	}
 	return r.chips[chip]
 }
@@ -192,8 +206,8 @@ func (r *Rack) FreeFiber(ref FiberRef) {
 // FiberAllocated reports whether the referenced fiber is currently
 // occupied. An out-of-range reference is simply not allocated.
 func (r *Rack) FiberAllocated(ref FiberRef) bool {
-	t, err := r.trunk(ref.Trunk, ref.Row)
-	if err != nil || ref.Fiber < 0 || ref.Fiber >= len(t.used[ref.Row]) {
+	t := r.trunkAt(ref.Trunk, ref.Row)
+	if t == nil || uint(ref.Fiber) >= uint(len(t.used[ref.Row])) {
 		return false
 	}
 	return t.used[ref.Row][ref.Fiber]
@@ -214,12 +228,43 @@ func (r *Rack) FibersInUse() int {
 	return n
 }
 
+// RowFibersInUse counts the occupied fibers of one trunk row; an
+// out-of-range row has none.
+func (r *Rack) RowFibersInUse(trunk, row int) int {
+	t := r.trunkAt(trunk, row)
+	if t == nil {
+		return 0
+	}
+	n := 0
+	for _, used := range t.used[row] {
+		if used {
+			n++
+		}
+	}
+	return n
+}
+
 func (r *Rack) trunk(trunk, row int) (*fiberTrunk, error) {
-	if trunk < 0 || trunk >= len(r.trunks) {
-		return nil, fmt.Errorf("wafer: trunk %d out of range [0, %d)", trunk, len(r.trunks))
+	if t := r.trunkAt(trunk, row); t != nil {
+		return t, nil
 	}
-	if row < 0 || row >= r.cfg.Rows {
-		return nil, fmt.Errorf("wafer: trunk row %d out of range [0, %d)", row, r.cfg.Rows)
+	return nil, r.trunkError(trunk, row)
+}
+
+// trunkAt returns the trunk when it has the row, or nil.
+func (r *Rack) trunkAt(trunk, row int) *fiberTrunk {
+	if uint(trunk) >= uint(len(r.trunks)) || uint(row) >= uint(r.cfg.Rows) {
+		return nil
 	}
-	return r.trunks[trunk], nil
+	return r.trunks[trunk]
+}
+
+// trunkError describes a trunk row trunkAt does not have.
+//
+//go:noinline
+func (r *Rack) trunkError(trunk, row int) error {
+	if uint(trunk) >= uint(len(r.trunks)) {
+		return fmt.Errorf("wafer: trunk %d out of range [0, %d)", trunk, len(r.trunks))
+	}
+	return fmt.Errorf("wafer: trunk row %d out of range [0, %d)", row, r.cfg.Rows)
 }

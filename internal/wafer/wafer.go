@@ -209,8 +209,8 @@ func (w *Wafer) FreeBus(ref BusRef) {
 // auditor checks every established circuit segment against. An
 // out-of-range or never-touched reference is simply not allocated.
 func (w *Wafer) BusSpanAllocated(ref BusRef) bool {
-	l, err := w.lane(ref.Orient, ref.Lane)
-	if err != nil || ref.Bus < 0 || ref.Bus >= len(l.buses) {
+	l := w.laneAt(ref.Orient, ref.Lane)
+	if l == nil || uint(ref.Bus) >= uint(len(l.buses)) {
 		return false
 	}
 	for _, iv := range l.buses[ref.Bus] {
@@ -219,6 +219,18 @@ func (w *Wafer) BusSpanAllocated(ref BusRef) bool {
 		}
 	}
 	return false
+}
+
+// BusSpans counts the intervals currently allocated on one bus — the
+// per-bus ground truth the invariant auditor's delta check compares
+// against its shadow tally. An out-of-range or never-touched bus holds
+// none.
+func (w *Wafer) BusSpans(o Orient, lane, bus int) int {
+	l := w.laneAt(o, lane)
+	if l == nil || uint(bus) >= uint(len(l.buses)) {
+		return 0
+	}
+	return len(l.buses[bus])
 }
 
 // AllocatedSpans counts the bus intervals currently allocated across
@@ -252,18 +264,35 @@ func (w *Wafer) BusesInUse() (horizontal, vertical int) {
 }
 
 func (w *Wafer) lane(o Orient, lane int) (*busLane, error) {
+	if l := w.laneAt(o, lane); l != nil {
+		return l, nil
+	}
+	return nil, laneError(o, lane)
+}
+
+// laneAt returns the lane, or nil when the wafer has no such lane.
+func (w *Wafer) laneAt(o Orient, lane int) *busLane {
+	lanes := w.hLanes
+	if o == Vertical {
+		lanes = w.vLanes
+	} else if o != Horizontal {
+		return nil
+	}
+	if uint(lane) >= uint(len(lanes)) {
+		return nil
+	}
+	return lanes[lane]
+}
+
+// laneError describes a lane laneAt does not have.
+//
+//go:noinline
+func laneError(o Orient, lane int) error {
 	switch o {
 	case Horizontal:
-		if lane < 0 || lane >= len(w.hLanes) {
-			return nil, fmt.Errorf("wafer: horizontal lane %d out of range", lane)
-		}
-		return w.hLanes[lane], nil
+		return fmt.Errorf("wafer: horizontal lane %d out of range", lane)
 	case Vertical:
-		if lane < 0 || lane >= len(w.vLanes) {
-			return nil, fmt.Errorf("wafer: vertical lane %d out of range", lane)
-		}
-		return w.vLanes[lane], nil
-	default:
-		return nil, fmt.Errorf("wafer: unknown orientation %q", o)
+		return fmt.Errorf("wafer: vertical lane %d out of range", lane)
 	}
+	return fmt.Errorf("wafer: unknown orientation %q", o)
 }
