@@ -45,8 +45,12 @@ func TestDeltaCatchesEveryCorruption(t *testing.T) {
 // TestDeltaChecksRolledBackAttempts plants an extra interval on a bus
 // and an extra fiber in a trunk row behind the allocator's back, then
 // makes an establish allocate there and roll back: the far endpoint is
-// full, so no circuit results. The journal's rolled-back resources
-// must bring both under the delta check.
+// full, so no circuit results. With a full endpoint only the last
+// candidate plan is attempted (route's attempt pruning), so the plants
+// sit on that plan's resources: the horizontal step along row 3 of the
+// same-wafer V-H-V detour through row 3, and the fiber row 3 of the
+// cross-wafer plan that tries row 3 last. The journal's rolled-back
+// resources must bring both under the delta check.
 func TestDeltaChecksRolledBackAttempts(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -55,12 +59,12 @@ func TestDeltaChecksRolledBackAttempts(t *testing.T) {
 		invariant string
 	}{
 		{"bus", func(t *testing.T, rack *wafer.Rack) {
-			if _, err := rack.Wafer(0).AllocBus(wafer.Horizontal, 0, wafer.Interval{Lo: 5, Hi: 5}); err != nil {
+			if _, err := rack.Wafer(0).AllocBus(wafer.Horizontal, 3, wafer.Interval{Lo: 5, Hi: 5}); err != nil {
 				t.Fatal(err)
 			}
 		}, 1, "bus-conservation"},
 		{"fiber", func(t *testing.T, rack *wafer.Rack) {
-			if _, err := rack.AllocFiber(0, 0); err != nil {
+			if _, err := rack.AllocFiber(0, 3); err != nil {
 				t.Fatal(err)
 			}
 		}, 33, "fiber-conservation"},

@@ -42,11 +42,14 @@ type Allocator struct {
 	// issued monotonically, so commit appends and lookups binary-search.
 	circuits []*Circuit
 	nextID   int
-	// fibersUsed mirrors the rack's fiber occupancy per (trunk, row)
-	// so the packing heuristic can rank rows cheaply.
-	fibersUsed map[fiberRowKey]int
-	// failedRows marks trunk rows taken out by fiber failures.
-	failedRows map[fiberRowKey]bool
+	// fibersUsed mirrors the rack's fiber occupancy per trunk row,
+	// indexed trunk*Rows+row (see rowIndex), so the packing heuristic
+	// can rank rows and Establish can skip plans over a full row with
+	// one load each.
+	fibersUsed []int
+	// failedRows marks trunk rows taken out by fiber failures, in the
+	// same layout.
+	failedRows []bool
 
 	// rowOrder[srcRow] is the precomputed non-packing fiber-row
 	// preference order (source row first, then the rest ascending). It
@@ -107,21 +110,20 @@ func (s *allocScratch) nextPlan() *plan {
 // rowUse ranks a trunk row for the fiber-packing heuristic.
 type rowUse struct{ row, used, free int }
 
-type fiberRowKey struct{ trunk, row int }
-
 // NewAllocator builds a centralized allocator over the rack. The
 // stochastic stitch losses draw from r; a nil r uses mean losses.
 func NewAllocator(rack *wafer.Rack, r *rng.Rand) *Allocator {
+	rows := rack.Config().Rows
 	a := &Allocator{
 		rack:       rack,
 		loss:       phy.NewLossModel(r),
 		Budget:     phy.DefaultBudget(),
-		fibersUsed: make(map[fiberRowKey]int),
+		fibersUsed: make([]int, rack.NumTrunks()*rows),
+		failedRows: make([]bool, rack.NumTrunks()*rows),
 	}
 	// Precompute the shortest-path fiber-row preference order for every
 	// source row: it depends only on the wafer geometry, so computing it
 	// per Establish call was pure allocation churn.
-	rows := rack.Config().Rows
 	a.rowOrder = make([][]int, rows)
 	for srcRow := range a.rowOrder {
 		order := make([]int, 0, rows)
@@ -164,9 +166,19 @@ func (a *Allocator) endOp(op string) {
 }
 
 // trackFiber updates the occupancy mirror by delta (+1 on allocate,
-// -1 on free).
+// -1 on free). The rack issued ref, so it lies on the grid.
 func (a *Allocator) trackFiber(ref wafer.FiberRef, delta int) {
-	a.fibersUsed[fiberRowKey{trunk: ref.Trunk, row: ref.Row}] += delta
+	a.fibersUsed[ref.Trunk*a.rack.Config().Rows+ref.Row] += delta
+}
+
+// rowIndex returns the dense index of a trunk row in fibersUsed and
+// failedRows, or -1 when the rack has no such row.
+func (a *Allocator) rowIndex(trunk, row int) int {
+	rows := a.rack.Config().Rows
+	if uint(trunk) >= uint(a.rack.NumTrunks()) || uint(row) >= uint(rows) {
+		return -1
+	}
+	return trunk*rows + row
 }
 
 // Rack returns the underlying hardware.
@@ -399,7 +411,7 @@ func (a *Allocator) fiberRowOccupancy(row, wA, wB int) (used, free int) {
 	cfg := a.rack.Config()
 	free = cfg.FibersPerEdge
 	for tr := wA; tr < wB; tr++ {
-		u := a.fibersUsed[fiberRowKey{trunk: tr, row: row}]
+		u := a.fibersUsed[tr*cfg.Rows+row]
 		used += u
 		if f := cfg.FibersPerEdge - u; f < free {
 			free = f
@@ -419,29 +431,30 @@ type Request struct {
 // buses, fibers and endpoint resources, programs the switches, and
 // returns the circuit. On any failure everything is rolled back and
 // ErrNoPath (or a budget error) is returned.
+//
+// Candidate plans are tried in preference order, but a plan that
+// provably cannot commit is skipped (DESIGN.md, "Establish attempt
+// pruning"). That is invisible: a failed attempt rolls back completely,
+// so every attempt sees the same state, and only the first success or
+// the last plan's error is observable. The last plan therefore always
+// runs for real, so the error is exactly the one trying every plan
+// would return.
 func (a *Allocator) Establish(req Request, now unit.Seconds) (*Circuit, error) {
-	if req.A == req.B {
-		return nil, fmt.Errorf("route: circuit endpoints are the same chip %d", req.A)
-	}
-	if req.Width <= 0 {
-		return nil, fmt.Errorf("route: non-positive width %d", req.Width)
-	}
-	// Out-of-range chips would panic deep inside rack.Place; a request
-	// is external input and must fail with an error instead.
-	for _, chip := range [2]int{req.A, req.B} {
-		if chip < 0 || chip >= a.rack.NumChips() {
-			return nil, fmt.Errorf("route: chip %d out of range [0, %d)", chip, a.rack.NumChips())
-		}
-		if !a.rack.TileOf(chip).ChipHealthy() {
-			return nil, fmt.Errorf("%w: chip %d", ErrEndpointFailed, chip)
-		}
+	if err := a.checkRequest(req); err != nil {
+		return nil, err
 	}
 	a.beginOp()
 	defer a.endOp("establish")
 	//lightpath:arena
 	plans := a.plansFor(req.A, req.B)
+	if len(plans) > 1 && a.endpointDoomed(req) {
+		plans = plans[len(plans)-1:]
+	}
 	var lastErr error = ErrNoPath
-	for _, p := range plans {
+	for i, p := range plans {
+		if i < len(plans)-1 && a.fiberRowFull(p) {
+			continue
+		}
 		c, err := a.commit(req, p, now)
 		if err == nil {
 			return c, nil
@@ -452,22 +465,75 @@ func (a *Allocator) Establish(req Request, now unit.Seconds) (*Circuit, error) {
 	// whatever sentinel the last commit attempt surfaced. The message is
 	// formatted only if someone reads it — on a saturated fabric this is
 	// the common Establish outcome, too hot for fmt.Errorf.
-	return nil, &noPathError{a: req.A, b: req.B, cause: lastErr}
+	return nil, &noPathError{a: req.A, b: req.B, errs: [2]error{ErrNoPath, lastErr}}
+}
+
+// checkRequest rejects a request before any plan is looked at: equal
+// or out-of-range endpoints, a non-positive width, a failed endpoint
+// chip.
+func (a *Allocator) checkRequest(req Request) error {
+	if req.A == req.B {
+		return fmt.Errorf("route: circuit endpoints are the same chip %d", req.A)
+	}
+	if req.Width <= 0 {
+		return fmt.Errorf("route: non-positive width %d", req.Width)
+	}
+	// Out-of-range chips would panic deep inside rack.Place; a request
+	// is external input and must fail with an error instead.
+	for _, chip := range [2]int{req.A, req.B} {
+		if chip < 0 || chip >= a.rack.NumChips() {
+			return fmt.Errorf("route: chip %d out of range [0, %d)", chip, a.rack.NumChips())
+		}
+		if !a.rack.TileOf(chip).ChipHealthy() {
+			return fmt.Errorf("%w: chip %d", ErrEndpointFailed, chip)
+		}
+	}
+	return nil
+}
+
+// endpointDoomed reports whether acquire must fail for every plan of
+// req, without touching any state: an endpoint tile cannot reserve the
+// width, or its switch 0 — which every plan programs — is stuck.
+func (a *Allocator) endpointDoomed(req Request) bool {
+	for _, chip := range [2]int{req.A, req.B} {
+		t := a.rack.TileOf(chip)
+		if !t.CanReserve(req.Width) || !t.SwitchHealthy(0) {
+			return true
+		}
+	}
+	return false
+}
+
+// fiberRowFull reports whether some trunk the plan crosses has no free
+// fiber in the plan's row, so acquire must fail at AllocFiber. It
+// reads the occupancy mirror; fibers taken behind the allocator's back
+// make the mirror undercount, which only prunes less.
+func (a *Allocator) fiberRowFull(p plan) bool {
+	cfg := a.rack.Config()
+	for _, tr := range p.trunks {
+		if a.fibersUsed[tr*cfg.Rows+p.fiberRow] >= cfg.FibersPerEdge {
+			return true
+		}
+	}
+	return false
 }
 
 // noPathError is the establish failure after every candidate plan was
 // rejected. Error formats lazily; Unwrap exposes both ErrNoPath and
 // the last commit failure to errors.Is/As.
 type noPathError struct {
-	a, b  int
-	cause error
+	a, b int
+	// errs is ErrNoPath and the last commit failure, held inline so
+	// Unwrap hands out a view of it rather than a fresh slice per
+	// errors.Is call.
+	errs [2]error
 }
 
 func (e *noPathError) Error() string {
-	return fmt.Sprintf("%v: chips %d<->%d: %v", ErrNoPath, e.a, e.b, e.cause)
+	return fmt.Sprintf("%v: chips %d<->%d: %v", ErrNoPath, e.a, e.b, e.errs[1])
 }
 
-func (e *noPathError) Unwrap() []error { return []error{ErrNoPath, e.cause} }
+func (e *noPathError) Unwrap() []error { return e.errs[:] }
 
 // commit attempts to allocate everything a plan needs, rolling back on
 // failure.
@@ -810,7 +876,10 @@ func (a *Allocator) tileAt(w, row, col int) (*wafer.Tile, int) {
 // trunk row — how many fibers it believes are in use there. The
 // invariant auditor cross-checks this against the rack's ground truth.
 func (a *Allocator) FiberRowUsage(trunk, row int) int {
-	return a.fibersUsed[fiberRowKey{trunk: trunk, row: row}]
+	if i := a.rowIndex(trunk, row); i >= 0 {
+		return a.fibersUsed[i]
+	}
+	return 0
 }
 
 // reserveEndpoint reserves a chip's lasers and port for a circuit

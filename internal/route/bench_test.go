@@ -1,6 +1,7 @@
 package route
 
 import (
+	"errors"
 	"testing"
 
 	"lightpath/internal/rng"
@@ -75,4 +76,38 @@ func BenchmarkEstablishWarm(b *testing.B) {
 	if hits+misses > 0 {
 		b.ReportMetric(float64(hits)/float64(hits+misses), "cache_hit_ratio")
 	}
+}
+
+// BenchmarkEstablishDoomed measures an establish that cannot succeed:
+// the far endpoint's lasers are all reserved, so every candidate plan
+// would fail at the endpoint reservation. Attempt pruning tries only
+// the last plan, for its exact error, so the cost is one attempt and
+// the lazily formatted error (one allocation). The commit_attempts
+// metric counts the attempts one such establish makes — on this
+// fixture every attempt reserves the near endpoint before the far one
+// refuses, so the journal's endpoint list has one entry per attempt —
+// and must be 1.
+func BenchmarkEstablishDoomed(b *testing.B) {
+	rack, err := wafer.NewRack(wafer.DefaultConfig(), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := NewAllocator(rack, rng.New(7))
+	req := Request{A: 0, B: 40, Width: 1}
+	if err := rack.TileOf(req.B).Reserve(rack.Config().LasersPerTile); err != nil {
+		b.Fatal(err)
+	}
+	// Warm the plan cache and the bus lanes the attempt touches.
+	if _, err := a.Establish(req, 0); !errors.Is(err, wafer.ErrLasersExhausted) {
+		b.Fatalf("establish onto a full chip: %v", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Establish(req, unit.Seconds(0)); err == nil {
+			b.Fatal("establish onto a full chip succeeded")
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(a.Journal().Chips)), "commit_attempts")
 }

@@ -1,5 +1,7 @@
 package route
 
+import "slices"
+
 // Clone returns a deep copy of the allocator together with a deep copy
 // of the rack it manages (reachable via the clone's Rack method). The
 // clone behaves exactly like the original would from this point on —
@@ -16,22 +18,14 @@ func (a *Allocator) Clone() *Allocator {
 		PackFibers:  a.PackFibers,
 		circuits:    make([]*Circuit, len(a.circuits)),
 		nextID:      a.nextID,
-		fibersUsed:  make(map[fiberRowKey]int, len(a.fibersUsed)),
+		fibersUsed:  slices.Clone(a.fibersUsed),
+		failedRows:  slices.Clone(a.failedRows),
 		// The row-order table is immutable after construction, so
 		// clones share it; scratch is deliberately left fresh.
 		rowOrder: a.rowOrder,
 	}
 	for i, circ := range a.circuits {
 		c.circuits[i] = circ.Clone()
-	}
-	for k, v := range a.fibersUsed {
-		c.fibersUsed[k] = v
-	}
-	if a.failedRows != nil {
-		c.failedRows = make(map[fiberRowKey]bool, len(a.failedRows))
-		for k, v := range a.failedRows {
-			c.failedRows[k] = v
-		}
 	}
 	return c
 }

@@ -129,11 +129,11 @@ func (a *Allocator) FailFiberRow(trunk, row int) []*Circuit {
 	defer a.endOp("fail-fiber-row")
 	a.journal.Wide = true
 	a.bumpPlanEpoch()
-	key := fiberRowKey{trunk: trunk, row: row}
-	if a.failedRows == nil {
-		a.failedRows = make(map[fiberRowKey]bool)
+	// A row the rack does not have carries no circuit and no plan, so
+	// there is nothing to mark.
+	if i := a.rowIndex(trunk, row); i >= 0 {
+		a.failedRows[i] = true
 	}
-	a.failedRows[key] = true
 
 	var affected []*Circuit
 	for _, c := range a.circuits {
@@ -159,18 +159,23 @@ func (a *Allocator) RestoreFiberRow(trunk, row int) {
 	defer a.endOp("restore-fiber-row")
 	a.journal.Wide = true
 	a.bumpPlanEpoch()
-	delete(a.failedRows, fiberRowKey{trunk: trunk, row: row})
+	if i := a.rowIndex(trunk, row); i >= 0 {
+		a.failedRows[i] = false
+	}
 }
 
-// RowFailed reports whether a trunk row has been marked failed.
+// RowFailed reports whether a trunk row has been marked failed. A row
+// the rack does not have is never failed.
 func (a *Allocator) RowFailed(trunk, row int) bool {
-	return a.failedRows[fiberRowKey{trunk: trunk, row: row}]
+	i := a.rowIndex(trunk, row)
+	return i >= 0 && a.failedRows[i]
 }
 
 // rowUsable reports whether row survives on every trunk of the path.
 func (a *Allocator) rowUsable(row int, trunks []int) bool {
+	rows := a.rack.Config().Rows
 	for _, tr := range trunks {
-		if a.failedRows[fiberRowKey{trunk: tr, row: row}] {
+		if a.failedRows[tr*rows+row] {
 			return false
 		}
 	}
@@ -182,11 +187,9 @@ func (a *Allocator) rowUsable(row int, trunks []int) bool {
 // repair. The fiber-packing ablation compares this between packing
 // policies.
 func (a *Allocator) SpareFullRows(trunk int) int {
-	cfg := a.rack.Config()
 	n := 0
-	for row := 0; row < cfg.Rows; row++ {
-		key := fiberRowKey{trunk: trunk, row: row}
-		if a.fibersUsed[key] == 0 && !a.failedRows[key] {
+	for row := 0; row < a.rack.Config().Rows; row++ {
+		if i := a.rowIndex(trunk, row); i >= 0 && a.fibersUsed[i] == 0 && !a.failedRows[i] {
 			n++
 		}
 	}

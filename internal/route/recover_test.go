@@ -214,7 +214,7 @@ func TestRepairFaultUndoesEachClass(t *testing.T) {
 		{Class: chaos.LaserDeath, Chip: 3},
 		{Class: chaos.MZIStuck, Chip: 3, Switch: 1},
 		{Class: chaos.WaveguideLoss, Wafer: 1, Horizontal: true, Lane: 2, Pos: 4, ExtraLossDB: 3},
-		{Class: chaos.FiberCut, Trunk: 0, Row: 5},
+		{Class: chaos.FiberCut, Trunk: 0, Row: 3},
 	} {
 		a := recoverAllocator(t)
 		healthy := a.Rack().Health()

@@ -2,7 +2,6 @@ package route
 
 import (
 	"fmt"
-	"sort"
 
 	"lightpath/internal/phy"
 	"lightpath/internal/snapshot"
@@ -17,8 +16,10 @@ import (
 // geometry is rebuilt, state is replayed — and reproduces an
 // allocator that behaves bit-for-bit like the one that was
 // serialized: same circuit IDs, same pathfinding preferences, same
-// future stitch-loss draws. Maps are written in sorted key order; the
-// snapshot is part of a byte-identical-resume contract.
+// future stitch-loss draws. Everything is written in a fixed order, and
+// only live state is written: a commit attempt that rolled back leaves
+// no trace in the bytes. The snapshot is part of a
+// byte-identical-resume contract.
 
 // stateFormatNote: the allocator encodes its state inline in the
 // fleet snapshot payload rather than as its own envelope; versioning
@@ -43,29 +44,23 @@ func (a *Allocator) EncodeState(e *snapshot.Encoder) {
 		encodeCircuit(e, c)
 	}
 
-	keys := make([]fiberRowKey, 0, len(a.fibersUsed))
-	for k := range a.fibersUsed {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return fiberRowKeyLess(keys[i], keys[j]) })
-	e.Len(len(keys))
-	for _, k := range keys {
-		e.Int(k.trunk)
-		e.Int(k.row)
-		e.Int(a.fibersUsed[k])
-	}
-
-	failed := make([]fiberRowKey, 0, len(a.failedRows))
-	for k, v := range a.failedRows {
-		if v {
-			failed = append(failed, k)
+	// The occupancy mirror and the failed-row set: (trunk, row) records
+	// in trunk-then-row order, for the rows in use and the rows failed.
+	rows := a.rack.Config().Rows
+	e.Len(nonzero(a.fibersUsed))
+	for i, used := range a.fibersUsed {
+		if used != 0 {
+			e.Int(i / rows)
+			e.Int(i % rows)
+			e.Int(used)
 		}
 	}
-	sort.Slice(failed, func(i, j int) bool { return fiberRowKeyLess(failed[i], failed[j]) })
-	e.Len(len(failed))
-	for _, k := range failed {
-		e.Int(k.trunk)
-		e.Int(k.row)
+	e.Len(nonzero(a.failedRows))
+	for i, failed := range a.failedRows {
+		if failed {
+			e.Int(i / rows)
+			e.Int(i % rows)
+		}
 	}
 
 	// The plan cache: hit/miss counters plus the set of chip pairs
@@ -118,20 +113,23 @@ func (a *Allocator) RestoreState(d *snapshot.Decoder) error {
 		a.circuits = append(a.circuits, c)
 	}
 
+	clear(a.fibersUsed)
 	n = d.Len()
-	a.fibersUsed = make(map[fiberRowKey]int, n)
 	for i := 0; i < n; i++ {
-		k := fiberRowKey{trunk: d.Int(), row: d.Int()}
-		a.fibersUsed[k] = d.Int()
+		at, err := a.decodeRow(d)
+		if err != nil {
+			return err
+		}
+		a.fibersUsed[at] = d.Int()
 	}
-
+	clear(a.failedRows)
 	n = d.Len()
-	a.failedRows = nil
-	if n > 0 {
-		a.failedRows = make(map[fiberRowKey]bool, n)
-	}
 	for i := 0; i < n; i++ {
-		a.failedRows[fiberRowKey{trunk: d.Int(), row: d.Int()}] = true
+		at, err := a.decodeRow(d)
+		if err != nil {
+			return err
+		}
+		a.failedRows[at] = true
 	}
 
 	a.resetPlanCache()
@@ -170,11 +168,31 @@ func (a *Allocator) CircuitByID(id int) (*Circuit, bool) {
 	return a.circuits[i], true
 }
 
-func fiberRowKeyLess(a, b fiberRowKey) bool {
-	if a.trunk != b.trunk {
-		return a.trunk < b.trunk
+// nonzero counts the elements of s that are not T's zero value.
+func nonzero[T comparable](s []T) int {
+	var zero T
+	n := 0
+	for _, v := range s {
+		if v != zero {
+			n++
+		}
 	}
-	return a.row < b.row
+	return n
+}
+
+// decodeRow reads a (trunk, row) record and returns the row's dense
+// index; a row the rack does not have is corruption.
+func (a *Allocator) decodeRow(d *snapshot.Decoder) (int, error) {
+	trunk, row := d.Int(), d.Int()
+	if d.Err() != nil {
+		return 0, d.Err()
+	}
+	i := a.rowIndex(trunk, row)
+	if i < 0 {
+		return 0, fmt.Errorf("%w: trunk row (%d, %d) outside the rack",
+			snapshot.ErrCorruptSnapshot, trunk, row)
+	}
+	return i, nil
 }
 
 func encodeCircuit(e *snapshot.Encoder, c *Circuit) {

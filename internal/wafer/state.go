@@ -164,11 +164,20 @@ func (t *Tile) restoreState(d *snapshot.Decoder) {
 	}
 }
 
+// encodeLanes writes each lane's buses up to its last occupied one. A
+// rolled-back allocation can leave empty buses at the end of a lane;
+// they are not state: first-fit hands out the same bus index whether
+// an empty trailing bus exists or is appended fresh, so trimming them
+// keeps the snapshot a function of live occupancy alone.
 func encodeLanes(e *snapshot.Encoder, lanes []*busLane) {
 	e.Len(len(lanes))
 	for _, l := range lanes {
-		e.Len(len(l.buses))
-		for _, ivs := range l.buses {
+		n := len(l.buses)
+		for n > 0 && len(l.buses[n-1]) == 0 {
+			n--
+		}
+		e.Len(n)
+		for _, ivs := range l.buses[:n] {
 			e.Len(len(ivs))
 			for _, iv := range ivs {
 				e.Int(iv.Lo)

@@ -114,6 +114,22 @@ func (t *Tile) UsedPorts() int { return t.portsUsed }
 // Reserve takes width wavelengths and one SerDes port for a circuit
 // endpoint.
 func (t *Tile) Reserve(width int) error {
+	if err := t.reserveError(width); err != nil {
+		return err
+	}
+	t.lasersUsed += width
+	t.portsUsed++
+	return nil
+}
+
+// CanReserve reports whether Reserve(width) would succeed, without
+// reserving anything. The allocator asks before trying candidate
+// paths, so an endpoint that would refuse every path costs one check.
+func (t *Tile) CanReserve(width int) bool { return t.reserveError(width) == nil }
+
+// reserveError is Reserve's admission test: nil exactly when Reserve
+// would take the resources.
+func (t *Tile) reserveError(width int) error {
 	if width <= 0 {
 		return fmt.Errorf("wafer: non-positive circuit width %d", width)
 	}
@@ -126,8 +142,6 @@ func (t *Tile) Reserve(width int) error {
 	if t.FreePorts() < 1 {
 		return ErrPortsExhausted
 	}
-	t.lasersUsed += width
-	t.portsUsed++
 	return nil
 }
 
